@@ -1,7 +1,9 @@
 //! The hot-path kernel bench: ns/inst of the trace-replay warm path,
 //! scalar protocol over the streaming reader versus batched protocol
-//! over the decoded bitcode reader, plus one-cell strict-vs-supervised
-//! overhead — written to `BENCH_kernel.json` at the repo root.
+//! over the decoded bitcode reader, the detailed phase on its own
+//! (`Machine::run` ns/inst and ns/cycle), plus one-cell
+//! strict-vs-supervised overhead — written to `BENCH_kernel.json` at
+//! the repo root.
 //!
 //! Follows the vendored criterion shim's conventions: measurement only
 //! happens when the harness receives `--bench` (as `cargo bench`
@@ -14,7 +16,7 @@ use std::time::Instant;
 
 /// The PR this tree corresponds to; stamped into `BENCH_kernel.json`
 /// and its cross-PR history so regressions are attributable.
-const PR: u32 = 7;
+const PR: u32 = 14;
 
 use bw_arrays::{ModelKind, TechParams};
 use bw_core::trace::{DecodedTrace, Trace, TraceReader};
@@ -22,6 +24,11 @@ use bw_core::zoo::NamedPredictor;
 use bw_core::{fsutil, record_trace, RunPlan, Runner, SimConfig};
 use bw_uarch::{Machine, SimStats, UarchConfig};
 use bw_workload::benchmark;
+
+/// Cycles the detailed-phase cell (gzip × Gsh_1_16k_12 at
+/// `SimConfig::quick(1)`) takes. The count is exact: a different value
+/// is a model change, not noise.
+const DETAILED_CYCLES: u64 = 75_902;
 
 struct Budget {
     mode: &'static str,
@@ -111,7 +118,7 @@ fn replay_batched(
     (ns, *m.stats())
 }
 
-/// Runs `f` `samples` times; returns the minimum warm-phase
+/// Runs `f` `samples` times; returns the minimum timed-phase
 /// nanoseconds and the last run's stats.
 fn sample_replay(samples: u32, mut f: impl FnMut() -> (f64, SimStats)) -> (f64, SimStats) {
     let mut best = f64::INFINITY;
@@ -124,13 +131,38 @@ fn sample_replay(samples: u32, mut f: impl FnMut() -> (f64, SimStats)) -> (f64, 
     (best, stats.unwrap())
 }
 
+/// The detailed phase alone: gzip × Gsh_1_16k_12 over the generated
+/// source at `SimConfig::quick(1)` — the budget of one `--quick` figure
+/// cell. Warmup is untimed; only `Machine::run` is. Returns the fastest
+/// sample's nanoseconds and the run's stats.
+fn detailed_run(samples: u32) -> (f64, SimStats) {
+    let model = benchmark("gzip").expect("built-in");
+    let cfg = SimConfig::quick(1);
+    let program = model.build_program(cfg.seed);
+    sample_replay(samples, || {
+        let mut m = Machine::new(
+            &cfg.uarch,
+            &program,
+            model,
+            cfg.seed,
+            NamedPredictor::Gshare16k12.config(),
+        );
+        m.warmup(cfg.warmup_insts);
+        let t = Instant::now();
+        m.run(cfg.measure_insts);
+        (t.elapsed().as_nanos() as f64, *m.stats())
+    })
+}
+
 /// One cross-PR history row: the replay-kernel ns/inst pair measured
-/// at a given PR (full mode only, so rows stay comparable).
+/// at a given PR (full mode only, so rows stay comparable), plus the
+/// detailed-phase (ns/inst, ns/cycle) pair from the PR that added it on.
 #[derive(Clone, Copy)]
 struct HistoryRow {
     pr: u32,
     scalar: f64,
     batched: f64,
+    detailed: Option<(f64, f64)>,
 }
 
 /// Extracts a numeric field from a flat JSON object fragment. The
@@ -161,10 +193,13 @@ fn load_history(prev: &str) -> Vec<HistoryRow> {
                 field_num(obj, "scalar_ns_per_inst"),
                 field_num(obj, "batched_ns_per_inst"),
             ) {
+                let detailed = field_num(obj, "detailed_ns_per_inst")
+                    .zip(field_num(obj, "detailed_ns_per_cycle"));
                 rows.push(HistoryRow {
                     pr: pr as u32,
                     scalar,
                     batched,
+                    detailed,
                 });
             }
         }
@@ -178,6 +213,7 @@ fn load_history(prev: &str) -> Vec<HistoryRow> {
                 pr: 5,
                 scalar,
                 batched,
+                detailed: None,
             });
         }
     }
@@ -187,19 +223,10 @@ fn load_history(prev: &str) -> Vec<HistoryRow> {
 /// Appends (or, on a re-run of the same PR, replaces) this tree's row.
 /// Quick-mode numbers are not comparable across PRs and never enter
 /// the history.
-fn update_history(
-    mut rows: Vec<HistoryRow>,
-    mode: &str,
-    scalar: f64,
-    batched: f64,
-) -> Vec<HistoryRow> {
+fn update_history(mut rows: Vec<HistoryRow>, mode: &str, row: HistoryRow) -> Vec<HistoryRow> {
     if mode == "full" {
-        rows.retain(|r| r.pr != PR);
-        rows.push(HistoryRow {
-            pr: PR,
-            scalar,
-            batched,
-        });
+        rows.retain(|r| r.pr != row.pr);
+        rows.push(row);
     }
     rows.sort_by_key(|r| r.pr);
     rows
@@ -209,8 +236,13 @@ fn history_json(rows: &[HistoryRow]) -> String {
     let body: Vec<String> = rows
         .iter()
         .map(|r| {
+            let detailed = r.detailed.map_or(String::new(), |(inst, cycle)| {
+                format!(
+                    ", \"detailed_ns_per_inst\": {inst:.2}, \"detailed_ns_per_cycle\": {cycle:.2}"
+                )
+            });
             format!(
-                "    {{ \"pr\": {}, \"scalar_ns_per_inst\": {:.2}, \"batched_ns_per_inst\": {:.2} }}",
+                "    {{ \"pr\": {}, \"scalar_ns_per_inst\": {:.2}, \"batched_ns_per_inst\": {:.2}{detailed} }}",
                 r.pr, r.scalar, r.batched
             )
         })
@@ -242,9 +274,8 @@ fn main() {
     // The replay kernel proper: the trace-style warm phase, which is
     // where replay spends its instructions (per-record stream decode +
     // per-branch predictor protocol). The detailed measured run after
-    // it is untimed here — its cycle-level pipeline model dwarfs the
-    // replay kernel and is unchanged by this work — but its stats feed
-    // the byte-identity check.
+    // it is untimed here (the detailed cell below times that phase on
+    // its own), but its stats feed the byte-identity check.
     let (scalar_ns, scalar_stats) = sample_replay(budget.samples, || {
         replay_scalar(&trace, &uarch, budget.warm_insts, budget.measure_insts)
     });
@@ -269,6 +300,15 @@ fn main() {
         audited.stats, batched_stats,
         "audited replay diverged from the bench kernel"
     );
+
+    // The detailed phase, which dominates a figure cell.
+    let (detailed_ns, detailed_stats) = detailed_run(budget.samples);
+    assert_eq!(
+        detailed_stats.cycles, DETAILED_CYCLES,
+        "detailed-phase cycle count moved: the core model changed"
+    );
+    let detailed_per_inst = detailed_ns / detailed_stats.committed as f64;
+    let detailed_per_cycle = detailed_ns / detailed_stats.cycles as f64;
 
     // One-cell experiment, strict vs supervised execution.
     let plan = {
@@ -304,6 +344,12 @@ fn main() {
     );
     println!("kernel/speedup: {speedup:.2}x (batch_identical {batch_identical}, audit_clean {audit_clean})");
     println!(
+        "kernel/detailed: {:.3} ms, {detailed_per_inst:.1} ns/inst, {detailed_per_cycle:.1} ns/cycle ({} insts, {} cycles)",
+        detailed_ns / 1e6,
+        detailed_stats.committed,
+        detailed_stats.cycles
+    );
+    println!(
         "kernel/one_cell: strict {:.1} ns/inst, supervised {:.1} ns/inst ({cell_insts} insts)",
         per_cell(strict_ns),
         per_cell(supervised_ns)
@@ -322,8 +368,12 @@ fn main() {
     let history = update_history(
         load_history(&prev),
         budget.mode,
-        per(scalar_ns),
-        per(batched_ns),
+        HistoryRow {
+            pr: PR,
+            scalar: per(scalar_ns),
+            batched: per(batched_ns),
+            detailed: Some((detailed_per_inst, detailed_per_cycle)),
+        },
     );
 
     let json = format!(
@@ -334,6 +384,9 @@ fn main() {
          \"scalar_ns_per_inst\": {scalar:.2},\n    \"batched_ns_per_inst\": {batched:.2},\n    \
          \"speedup\": {speedup:.3},\n    \"decode_ms_one_time\": {decode_ms:.3},\n    \
          \"batch_identical\": {batch_identical},\n    \"audit_clean\": {audit_clean}\n  }},\n  \
+         \"detailed\": {{\n    \"workload\": \"gzip\",\n    \"budget\": \"quick\",\n    \
+         \"insts\": {detailed_insts},\n    \"cycles\": {detailed_cycles},\n    \
+         \"ns_per_inst\": {detailed_per_inst:.2},\n    \"ns_per_cycle\": {detailed_per_cycle:.2}\n  }},\n  \
          \"one_cell\": {{\n    \"strict_ns_per_inst\": {strict:.2},\n    \
          \"supervised_ns_per_inst\": {supervised:.2}\n  }},\n  \
          \"history\": {history}\n}}\n",
@@ -347,6 +400,8 @@ fn main() {
         scalar = per(scalar_ns),
         batched = per(batched_ns),
         decode_ms = decode_ns / 1e6,
+        detailed_insts = detailed_stats.committed,
+        detailed_cycles = detailed_stats.cycles,
         strict = per_cell(strict_ns),
         supervised = per_cell(supervised_ns),
         history = history_json(&history),

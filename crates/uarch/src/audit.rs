@@ -22,6 +22,7 @@
 //! | `in-order-commit` | commit | retirement order and correct-path purity (IPC validity) |
 //! | `occupancy-bounds` | cycle | RUU/LSQ never exceed Table 1's 80/40 |
 //! | `window-ordering` | cycle | the RUU stays sequence-sorted (issue/squash correctness) |
+//! | `wakeup-readiness` | cycle | event-driven wakeup agrees with a full readiness recomputation (issue timing) |
 //! | `history-restore` | recovery | speculative GHR equals the oracle history after repair |
 //! | `counter-range` | cycle + recovery | every saturating counter stays representable |
 //! | `ppd-neutrality` | cycle | PPD gating never suppresses a needed lookup |
@@ -33,6 +34,7 @@ use bw_power::audit::EnergyLedger;
 use bw_power::EnergyReport;
 use bw_types::Seq;
 
+use crate::inflight::{EntryState, SlotRef};
 use crate::machine::Machine;
 
 /// How many low GHR bits the history-restore invariant compares — the
@@ -60,6 +62,10 @@ pub struct AuditView {
     pub lsq_cap: usize,
     /// `true` if RUU sequence numbers are strictly increasing.
     pub ruu_seq_ordered: bool,
+    /// The first disagreement between the event-driven wakeup state
+    /// (pending counts, `Ready` states, the ready list) and readiness
+    /// recomputed from scratch (cycle boundary only).
+    pub wakeup_mismatch: Option<String>,
     /// Sequence number of the instruction that just retired (commit
     /// boundary only).
     pub commit_seq: Option<Seq>,
@@ -137,7 +143,7 @@ impl Invariant<AuditView> for OccupancyBounds {
 }
 
 /// The RUU must stay sorted by sequence number; squash and dispatch
-/// both rely on it (binary-search wakeup, tail-drain squash).
+/// both rely on it (slot-ordered ready list, tail-drain squash).
 struct WindowOrdering;
 
 impl Invariant<AuditView> for WindowOrdering {
@@ -152,6 +158,29 @@ impl Invariant<AuditView> for WindowOrdering {
             Ok(())
         } else {
             Err("RUU sequence numbers are not strictly increasing".to_string())
+        }
+    }
+}
+
+/// Wakeup is event-driven: an entry becomes `Ready` when its last
+/// outstanding producer completes. Recomputed from scratch, an entry
+/// is ready when every producer has completed, committed or been
+/// squashed. The two must agree every cycle — pending counts, `Ready`
+/// states and the ready list's oldest-first order — or issue timing
+/// (and with it IPC and every energy figure) has drifted.
+struct WakeupReadiness;
+
+impl Invariant<AuditView> for WakeupReadiness {
+    fn name(&self) -> &'static str {
+        "wakeup-readiness"
+    }
+    fn boundary(&self) -> Boundary {
+        Boundary::Cycle
+    }
+    fn check(&mut self, v: &AuditView) -> Result<(), String> {
+        match &v.wakeup_mismatch {
+            Some(detail) => Err(detail.clone()),
+            None => Ok(()),
         }
     }
 }
@@ -264,6 +293,7 @@ impl AuditState {
         registry.register(Box::new(InOrderCommit { last_seq: None }));
         registry.register(Box::new(OccupancyBounds));
         registry.register(Box::new(WindowOrdering));
+        registry.register(Box::new(WakeupReadiness));
         registry.register(Box::new(HistoryRestore));
         registry.register(Box::new(CounterRange));
         registry.register(Box::new(PpdNeutrality));
@@ -341,6 +371,7 @@ impl<S: bw_workload::InstSource> Machine<'_, S> {
         };
         let mut view = self.audit_base_view();
         view.energy = Some(self.power.report());
+        view.wakeup_mismatch = self.wakeup_mismatch();
         // Instructions fetched this cycle are still at the back of the
         // fetch queue (dispatch ran before fetch). If any of them is a
         // branch, the matching lookup must have been charged this
@@ -361,6 +392,48 @@ impl<S: bw_workload::InstSource> Machine<'_, S> {
         }
         a.registry.check_at(Boundary::Cycle, self.cycle, &view);
         self.audit = Some(a);
+    }
+
+    /// Recomputes readiness of every RUU entry from its producers'
+    /// states and returns the first disagreement with the event-driven
+    /// bookkeeping, if any.
+    fn wakeup_mismatch(&self) -> Option<String> {
+        // A producer's result is available once it has completed, or
+        // when it is no longer in the window (committed or squashed).
+        let done = |p: Seq| match self.ruu.binary_search_by_key(&p, |e| e.fi.seq) {
+            Ok(i) => self.ruu[i].state == EntryState::Completed,
+            Err(_) => true,
+        };
+        let mut expected_ready = Vec::new();
+        for (i, e) in self.ruu.iter().enumerate() {
+            let outstanding = e.deps.iter().flatten().filter(|&&p| !done(p)).count();
+            let waiting = matches!(e.state, EntryState::Waiting | EntryState::Ready);
+            let expected_pending = if waiting { outstanding } else { 0 };
+            if usize::from(e.pending) != expected_pending || (!waiting && outstanding != 0) {
+                return Some(format!(
+                    "seq {} ({:?}) has pending {} but {outstanding} producer(s) outstanding",
+                    e.fi.seq, e.state, e.pending
+                ));
+            }
+            if waiting && (e.state == EntryState::Ready) != (outstanding == 0) {
+                return Some(format!(
+                    "seq {} is {:?} with {outstanding} producer(s) outstanding",
+                    e.fi.seq, e.state
+                ));
+            }
+            if e.state == EntryState::Ready {
+                expected_ready.push(SlotRef {
+                    slot: self.ruu_front_slot + i as u64,
+                    seq: e.fi.seq,
+                });
+            }
+        }
+        (self.ready != expected_ready).then(|| {
+            format!(
+                "ready list {:?} != oldest-first Ready entries {expected_ready:?}",
+                self.ready
+            )
+        })
     }
 
     /// Commit-boundary checks (one call per retired instruction).
@@ -443,6 +516,30 @@ mod tests {
     }
 
     #[test]
+    fn small_window_runs_clean() {
+        // A window a few entries deep fills, squashes and reuses its
+        // slots constantly: the wakeup bookkeeping's stale-reference
+        // checks are exercised on almost every event.
+        let cfg = UarchConfig {
+            ruu_size: 6,
+            lsq_size: 3,
+            ..UarchConfig::alpha21264_like().with_gating(1)
+        };
+        let m = audited_run(
+            &cfg,
+            PredictorConfig::Hybrid(HybridConfig::alpha_21264()),
+            5,
+        );
+        assert!(m.stats().squashes > 100, "too few squashes — test inert");
+        assert_eq!(
+            m.audit_clean(),
+            Some(true),
+            "audit: {}",
+            m.audit_summary().unwrap()
+        );
+    }
+
+    #[test]
     fn audit_is_observation_only() {
         // Identical stats and energy with the sanitizer on and off.
         let model = benchmark("vortex").unwrap();
@@ -480,6 +577,7 @@ mod tests {
             lsq_len: 0,
             lsq_cap: 40,
             ruu_seq_ordered: false,
+            wakeup_mismatch: Some("seq 7 is Waiting with 0 producer(s) outstanding".to_string()),
             counters_in_range: Some(false),
             fetched_cond_uncharged: true,
             ..AuditView::default()
@@ -493,6 +591,7 @@ mod tests {
             .collect();
         assert!(names.contains(&"occupancy-bounds"));
         assert!(names.contains(&"window-ordering"));
+        assert!(names.contains(&"wakeup-readiness"));
         assert!(names.contains(&"counter-range"));
         assert!(names.contains(&"ppd-neutrality"));
         assert!(a.registry.violations().iter().all(|v| v.cycle == 42));

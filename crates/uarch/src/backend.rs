@@ -1,44 +1,62 @@
 //! Back-end stages: dispatch, issue, writeback (branch resolution and
 //! squash), and commit.
+//!
+//! Wakeup and select are event-driven. Dispatch links each consumer
+//! into the wake lists of its outstanding producers; writeback drains
+//! a completing entry's list and moves consumers with no producer left
+//! onto the ready list; issue walks only that list, oldest first.
+//! Entries are addressed by [`SlotRef`] (slot plus seq, validated on
+//! use), so no per-cycle path searches the window by sequence number.
 
 use std::cmp::Reverse;
 
 use bw_types::{Addr, CtiKind, OpClass, Seq};
 
-use crate::inflight::{EntryState, FetchedInst, RuuEntry};
+use crate::inflight::{EntryState, FetchedInst, LsqEntry, RuuEntry, Slot, SlotRef};
 use crate::machine::Machine;
 
 impl<S: bw_workload::InstSource> Machine<'_, S> {
-    /// Finds the RUU index of the entry with sequence number `seq`.
-    ///
-    /// The RUU is ordered by strictly increasing `seq` but may contain
-    /// gaps where squashed allocations used to be, so this is a binary
-    /// search rather than an offset computation.
-    fn entry_index(&self, seq: Seq) -> Option<usize> {
-        let front = self.ruu.front()?.fi.seq;
-        if seq < front {
-            return None;
-        }
-        let mut lo = 0usize;
-        let mut hi = self.ruu.len().min((seq - front + 1) as usize);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            match self.ruu[mid].fi.seq.cmp(&seq) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Equal => return Some(mid),
-                std::cmp::Ordering::Greater => hi = mid,
-            }
-        }
-        None
+    /// RUU index of the entry `r` refers to, or `None` if the reference
+    /// is stale: that instruction committed or was squashed, and its
+    /// slot is empty or holds a younger instruction.
+    fn live_index(&self, r: SlotRef) -> Option<usize> {
+        let idx = usize::try_from(r.slot.checked_sub(self.ruu_front_slot)?).ok()?;
+        (self.ruu.get(idx)?.fi.seq == r.seq).then_some(idx)
     }
 
-    /// `true` if the producer with sequence number `seq` has a result
-    /// available (committed, squashed-gap, or completed in-window).
-    fn producer_done(&self, seq: Seq) -> bool {
-        match self.entry_index(seq) {
-            None => true,
-            Some(idx) => self.ruu[idx].state == EntryState::Completed,
+    /// The wake list of the entry in `slot`.
+    fn wake_list(&mut self, slot: Slot) -> &mut Vec<SlotRef> {
+        let mask = self.wake_lists.len() - 1;
+        &mut self.wake_lists[slot as usize & mask]
+    }
+
+    /// Resolves producer `p` of the instruction about to dispatch at
+    /// the RUU tail: the slot of the producer's entry while its result
+    /// is outstanding, `None` once it is available (completed,
+    /// committed, or squashed).
+    ///
+    /// Within a seq-contiguous run the producer sits at a fixed offset
+    /// from the run's last entry, so this is one subtraction plus one
+    /// hop per squash gap between the producer and the tail.
+    fn resolve_producer(&self, p: Seq) -> Option<Slot> {
+        let mut end = self.ruu.len();
+        while end > 0 {
+            let last = &self.ruu[end - 1];
+            if p > last.fi.seq {
+                return None; // squashed before dispatch
+            }
+            let start = last.run_start.saturating_sub(self.ruu_front_slot) as usize;
+            let back = (last.fi.seq - p) as usize;
+            if back < end - start {
+                let idx = end - 1 - back;
+                let producer = &self.ruu[idx];
+                debug_assert_eq!(producer.fi.seq, p, "run_start broke seq contiguity");
+                return (producer.state != EntryState::Completed)
+                    .then_some(self.ruu_front_slot + idx as u64);
+            }
+            end = start;
         }
+        None // committed
     }
 
     /// Commit stage: retire completed instructions in order.
@@ -49,13 +67,14 @@ impl<S: bw_workload::InstSource> Machine<'_, S> {
                 break;
             }
             let entry = self.ruu.pop_front().expect("checked nonempty");
+            self.ruu_front_slot += 1;
             debug_assert!(
                 entry.fi.on_correct_path,
                 "wrong-path instruction reached commit (seq {})",
                 entry.fi.seq
             );
             if entry.is_mem() {
-                debug_assert_eq!(self.lsq.front(), Some(&entry.fi.seq));
+                debug_assert_eq!(self.lsq.front().map(|l| l.seq), Some(entry.fi.seq));
                 self.lsq.pop_front();
                 if entry.fi.inst.op == OpClass::Store {
                     // Stores write the D-cache at retirement.
@@ -119,20 +138,20 @@ impl<S: bw_workload::InstSource> Machine<'_, S> {
         }
     }
 
-    /// Writeback: drain due completions; resolve branches (squash +
-    /// redirect on mispredicts).
+    /// Writeback: drain due completions, wake their consumers, and
+    /// resolve branches (squash + redirect on mispredicts).
     pub(crate) fn writeback(&mut self) {
-        while let Some(&Reverse((cycle, seq))) = self.completions.peek() {
+        while let Some(&Reverse((cycle, seq, slot))) = self.completions.peek() {
             if cycle > self.cycle {
                 break;
             }
             self.completions.pop();
-            let Some(idx) = self.entry_index(seq) else {
-                continue;
+            let Some(idx) = self.live_index(SlotRef { slot, seq }) else {
+                continue; // stale event from a squashed allocation
             };
             let entry = &mut self.ruu[idx];
             if entry.state != EntryState::Issued || entry.completes_at != cycle {
-                continue; // stale event from a squashed allocation
+                continue;
             }
             entry.state = EntryState::Completed;
             self.act.window += 1;
@@ -140,6 +159,7 @@ impl<S: bw_workload::InstSource> Machine<'_, S> {
             self.act.regfile += 1;
 
             let fi = entry.fi;
+            self.wake_consumers(slot);
             if let Some(branch) = fi.branch {
                 if branch.low_conf {
                     self.low_conf_inflight = self.low_conf_inflight.saturating_sub(1);
@@ -149,8 +169,7 @@ impl<S: bw_workload::InstSource> Machine<'_, S> {
                     self.squash_younger_than(seq);
                     // Repair the offender's own speculative history and
                     // re-insert the architectural outcome.
-                    if let (Some(ckpt), Some(pred)) = (branch.hist_ckpt, branch.prediction) {
-                        let _ = pred;
+                    if let (Some(ckpt), Some(_)) = (branch.hist_ckpt, branch.prediction) {
                         self.predictor.repair(&ckpt);
                         self.predictor.spec_push(fi.inst.pc, actual.outcome);
                     }
@@ -165,42 +184,84 @@ impl<S: bw_workload::InstSource> Machine<'_, S> {
         }
     }
 
+    /// Notifies the consumers waiting on the entry in `slot`, which
+    /// just completed. A consumer whose last outstanding producer this
+    /// was becomes `Ready` now, before this cycle's issue stage runs.
+    fn wake_consumers(&mut self, slot: Slot) {
+        let mut list = std::mem::take(self.wake_list(slot));
+        for &consumer in &list {
+            let Some(idx) = self.live_index(consumer) else {
+                continue; // the consumer was squashed
+            };
+            let e = &mut self.ruu[idx];
+            debug_assert!(e.state == EntryState::Waiting && e.pending > 0);
+            e.pending -= 1;
+            if e.pending == 0 {
+                e.state = EntryState::Ready;
+                let at = self.ready.partition_point(|r| r.slot < consumer.slot);
+                self.ready.insert(at, consumer);
+            }
+        }
+        list.clear();
+        *self.wake_list(slot) = list;
+    }
+
     /// Removes every in-flight instruction younger than `seq`,
     /// repairing speculative predictor/RAS state youngest-first.
+    ///
+    /// The fetch queue, the decode stages (stage 0 youngest) and the
+    /// RUU tail are each in seq order and successively older, so
+    /// popping them back-to-front in that order visits the squashed
+    /// instructions youngest-first.
     pub(crate) fn squash_younger_than(&mut self, seq: Seq) {
-        // Collect squashed instructions from all pipeline holding
-        // structures: fetch queue, decode pipe, RUU tail.
-        let mut squashed: Vec<FetchedInst> = Vec::new();
-        squashed.extend(self.fetch_queue.drain(..));
-        for stage in &mut self.decode_pipe {
-            squashed.append(stage);
+        let mut squashed = 0u64;
+        while let Some(fi) = self.fetch_queue.pop_back() {
+            self.undo_speculation(&fi, seq);
+            squashed += 1;
+        }
+        for stage in 0..self.decode_pipe.len() {
+            while let Some(fi) = self.decode_pipe[stage].pop_back() {
+                self.undo_speculation(&fi, seq);
+                squashed += 1;
+            }
         }
         while self.ruu.back().is_some_and(|e| e.fi.seq > seq) {
             let e = self.ruu.pop_back().expect("checked nonempty");
-            squashed.push(e.fi);
+            self.undo_speculation(&e.fi, seq);
+            squashed += 1;
         }
-        self.lsq.retain(|&s| s <= seq);
+        while self.lsq.back().is_some_and(|l| l.seq > seq) {
+            self.lsq.pop_back();
+        }
+        // Wake lists and completion events may still name the freed
+        // slots; their seq check discards them. The ready list is
+        // slot-ordered, so the squashed entries are its tail.
+        let tail = self.ruu_front_slot + self.ruu.len() as u64;
+        while self.ready.last().is_some_and(|r| r.slot >= tail) {
+            self.ready.pop();
+        }
+        self.stats.squashed_insts += squashed;
+    }
 
-        self.stats.squashed_insts += squashed.len() as u64;
-        // Repair youngest-first.
-        squashed.sort_by_key(|fi| Reverse(fi.seq));
-        for fi in &squashed {
-            debug_assert!(fi.seq > seq);
-            if let Some(b) = &fi.branch {
-                if b.low_conf {
-                    self.low_conf_inflight = self.low_conf_inflight.saturating_sub(1);
-                }
-                if let Some(ckpt) = &b.hist_ckpt {
-                    self.predictor.repair(ckpt);
-                }
-                if let Some(rc) = b.ras_ckpt {
-                    self.ras.restore(rc);
-                }
+    /// Rolls back the speculative state one squashed instruction
+    /// changed at fetch.
+    fn undo_speculation(&mut self, fi: &FetchedInst, squash_seq: Seq) {
+        debug_assert!(fi.seq > squash_seq);
+        if let Some(b) = &fi.branch {
+            if b.low_conf {
+                self.low_conf_inflight = self.low_conf_inflight.saturating_sub(1);
+            }
+            if let Some(ckpt) = &b.hist_ckpt {
+                self.predictor.repair(ckpt);
+            }
+            if let Some(rc) = b.ras_ckpt {
+                self.ras.restore(rc);
             }
         }
     }
 
-    /// Issue stage: wake ready instructions and start execution.
+    /// Issue stage: select from the ready list, oldest first, and start
+    /// execution where a port and functional unit are free.
     pub(crate) fn issue(&mut self) {
         let mut total_left = self.cfg.issue_width;
         let mut int_left = self.cfg.int_issue;
@@ -209,21 +270,19 @@ impl<S: bw_workload::InstSource> Machine<'_, S> {
         let mut mul_left = self.cfg.int_mul;
         let mut fpmul_left = self.cfg.fp_mul;
 
-        for idx in 0..self.ruu.len() {
-            if total_left == 0 {
-                break;
-            }
-            // Wakeup.
-            if self.ruu[idx].state == EntryState::Waiting {
-                let deps = self.ruu[idx].deps;
-                let ready = deps.iter().flatten().all(|&p| self.producer_done(p));
-                if ready {
-                    self.ruu[idx].state = EntryState::Ready;
-                }
-            }
-            if self.ruu[idx].state != EntryState::Ready {
-                continue;
-            }
+        let mut ready = std::mem::take(&mut self.ready);
+        // Entries that stay ready are compacted into `ready[..kept]`;
+        // `ready[kept..next]` is left vacated and dropped below.
+        let mut kept = 0;
+        let mut next = 0;
+        while next < ready.len() && total_left > 0 {
+            let r = ready[next];
+            next += 1;
+            let idx = (r.slot - self.ruu_front_slot) as usize;
+            debug_assert!(
+                self.ruu[idx].fi.seq == r.seq && self.ruu[idx].state == EntryState::Ready,
+                "stale ready-list entry {r:?}"
+            );
 
             let op = self.ruu[idx].fi.inst.op;
             // Port/FU availability.
@@ -235,61 +294,46 @@ impl<S: bw_workload::InstSource> Machine<'_, S> {
                 OpClass::Load | OpClass::Store => mem_left > 0,
             };
             if !ok {
+                ready[kept] = r;
+                kept += 1;
                 continue;
             }
 
-            // Loads: memory disambiguation against older stores.
-            if op == OpClass::Load {
-                let (can_issue, forwarded) = self.load_disambiguation(idx);
-                if !can_issue {
-                    continue;
-                }
-                let seq = self.ruu[idx].fi.seq;
-                let addr = self.ruu[idx].fi.data_addr.expect("loads have addresses");
-                let latency = if forwarded {
-                    1
-                } else {
-                    self.load_latency(addr)
-                };
-                let entry = &mut self.ruu[idx];
-                entry.state = EntryState::Issued;
-                entry.addr_known = true;
-                entry.completes_at = self.cycle + u64::from(latency);
-                self.completions.push(Reverse((entry.completes_at, seq)));
-                mem_left -= 1;
-            } else {
-                let latency = match op {
-                    OpClass::IntAlu | OpClass::Cti => 1,
-                    OpClass::IntMul => 3,
-                    OpClass::FpAlu => 2,
-                    OpClass::FpMul => 4,
-                    OpClass::Store => 1,
-                    OpClass::Load => unreachable!("handled above"),
-                };
-                let seq = self.ruu[idx].fi.seq;
-                let entry = &mut self.ruu[idx];
-                entry.state = EntryState::Issued;
-                if op == OpClass::Store {
-                    entry.addr_known = true;
-                    mem_left -= 1;
-                } else {
-                    match op {
-                        OpClass::IntAlu | OpClass::Cti => int_left -= 1,
-                        OpClass::IntMul => {
-                            int_left -= 1;
-                            mul_left -= 1;
-                        }
-                        OpClass::FpAlu => fp_left -= 1,
-                        OpClass::FpMul => {
-                            fp_left -= 1;
-                            fpmul_left -= 1;
-                        }
-                        _ => {}
+            let latency = match op {
+                OpClass::IntAlu | OpClass::Cti => 1,
+                OpClass::IntMul => 3,
+                OpClass::FpAlu => 2,
+                OpClass::FpMul => 4,
+                OpClass::Store => 1,
+                OpClass::Load => {
+                    // Memory disambiguation against older stores: a hit
+                    // in the LSQ forwards the store's data.
+                    let addr = self.ruu[idx].fi.data_addr.expect("loads have addresses");
+                    if self.store_forwards(r.seq, addr.0 & !7) {
+                        1
+                    } else {
+                        u64::from(self.load_latency(addr))
                     }
                 }
-                entry.completes_at = self.cycle + latency;
-                self.completions.push(Reverse((entry.completes_at, seq)));
+            };
+            match op {
+                OpClass::IntAlu | OpClass::Cti => int_left -= 1,
+                OpClass::IntMul => {
+                    int_left -= 1;
+                    mul_left -= 1;
+                }
+                OpClass::FpAlu => fp_left -= 1,
+                OpClass::FpMul => {
+                    fp_left -= 1;
+                    fpmul_left -= 1;
+                }
+                OpClass::Load | OpClass::Store => mem_left -= 1,
             }
+            let entry = &mut self.ruu[idx];
+            entry.state = EntryState::Issued;
+            entry.completes_at = self.cycle + latency;
+            self.completions
+                .push(Reverse((entry.completes_at, r.seq, r.slot)));
 
             total_left -= 1;
             self.issued_now += 1;
@@ -302,37 +346,19 @@ impl<S: bw_workload::InstSource> Machine<'_, S> {
                 OpClass::Load | OpClass::Store => self.act.lsq += 1,
             }
         }
+        ready.drain(kept..next);
+        self.ready = ready;
     }
 
-    /// Checks whether the load at RUU index `idx` may issue.
-    /// Returns `(can_issue, forwarded_from_store)`.
-    fn load_disambiguation(&self, idx: usize) -> (bool, bool) {
-        let load = &self.ruu[idx];
-        let load_seq = load.fi.seq;
-        let load_addr = load.fi.data_addr.expect("loads have addresses");
-        let load_block = load_addr.0 & !7;
-        for &seq in &self.lsq {
-            if seq >= load_seq {
-                break;
-            }
-            let Some(sidx) = self.entry_index(seq) else {
-                continue;
-            };
-            let e = &self.ruu[sidx];
-            if e.fi.inst.op != OpClass::Store {
-                continue;
-            }
-            if !e.addr_known {
-                // Conservative: wait until all older store addresses
-                // are known.
-                return (false, false);
-            }
-            let saddr = e.fi.data_addr.expect("stores have addresses");
-            if saddr.0 & !7 == load_block {
-                return (true, true);
-            }
-        }
-        (true, false)
+    /// `true` if a store older than the load `load_seq` writes the
+    /// load's 8-byte block, so the load is forwarded from the LSQ.
+    /// The oldest matching store wins, as the queue is scanned in age
+    /// order.
+    fn store_forwards(&self, load_seq: Seq, load_block: u64) -> bool {
+        self.lsq
+            .iter()
+            .take_while(|l| l.seq < load_seq)
+            .any(|l| l.store_block == Some(load_block))
     }
 
     /// D-cache access latency for a load, charging activity.
@@ -364,41 +390,26 @@ impl<S: bw_workload::InstSource> Machine<'_, S> {
     /// buffer.
     pub(crate) fn dispatch(&mut self) {
         // Retire the oldest stage into the window.
-        let depth = self.decode_pipe.len();
-        let oldest = depth - 1;
-        while let Some(&fi) = self.decode_pipe[oldest].first() {
+        let oldest = self.decode_pipe.len() - 1;
+        while let Some(fi) = self.decode_pipe[oldest].front() {
             if self.ruu.len() >= self.cfg.ruu_size as usize {
                 break;
             }
             if fi.inst.op.is_mem() && self.lsq.len() >= self.cfg.lsq_size as usize {
                 break;
             }
-            self.decode_pipe[oldest].remove(0);
-            let deps = compute_deps(&fi);
-            if fi.inst.op.is_mem() {
-                self.lsq.push_back(fi.seq);
-            }
-            let addr_known_at_dispatch = fi.inst.op == OpClass::Store;
-            debug_assert!(
-                self.ruu.back().is_none_or(|e| e.fi.seq < fi.seq),
-                "RUU must stay seq-ordered"
-            );
-            let mut entry = RuuEntry::new(fi, deps);
-            // Store addresses are produced by the address-generation
-            // path as soon as the store dispatches; the data operand is
-            // what the store may still wait on. Loads can therefore
-            // disambiguate against it immediately.
-            entry.addr_known = addr_known_at_dispatch;
-            self.ruu.push_back(entry);
-            self.act.rename += 1;
-            self.act.window += 1;
+            let fi = self.decode_pipe[oldest]
+                .pop_front()
+                .expect("checked nonempty");
+            self.dispatch_one(fi);
         }
 
         // Shift the latch pipeline where possible (in-order, rigid).
+        // Swapping moves the full stage on and hands its emptied buffer
+        // back, so no stage reallocates.
         for i in (0..oldest).rev() {
             if self.decode_pipe[i + 1].is_empty() && !self.decode_pipe[i].is_empty() {
-                let stage = std::mem::take(&mut self.decode_pipe[i]);
-                self.decode_pipe[i + 1] = stage;
+                self.decode_pipe.swap(i, i + 1);
             }
         }
 
@@ -408,9 +419,66 @@ impl<S: bw_workload::InstSource> Machine<'_, S> {
                 let Some(fi) = self.fetch_queue.pop_front() else {
                     break;
                 };
-                self.decode_pipe[0].push(fi);
+                self.decode_pipe[0].push_back(fi);
             }
         }
+    }
+
+    /// Allocates the RUU (and LSQ) entry for `fi` at the tail and links
+    /// it into the wake lists of its outstanding producers.
+    fn dispatch_one(&mut self, fi: FetchedInst) {
+        debug_assert!(
+            self.ruu.back().is_none_or(|e| e.fi.seq < fi.seq),
+            "RUU must stay seq-ordered"
+        );
+        let me = SlotRef {
+            slot: self.ruu_front_slot + self.ruu.len() as u64,
+            seq: fi.seq,
+        };
+        // A previous occupant of this slot was squashed; its consumers
+        // are gone with it.
+        self.wake_list(me.slot).clear();
+        let deps = compute_deps(&fi);
+        let mut pending = 0;
+        for p in deps.into_iter().flatten() {
+            if let Some(producer) = self.resolve_producer(p) {
+                self.wake_list(producer).push(me);
+                pending += 1;
+            }
+        }
+        if fi.inst.op.is_mem() {
+            // Store addresses are produced by the address-generation
+            // path as soon as the store dispatches; the data operand is
+            // what the store may still wait on. Loads can therefore
+            // disambiguate against it immediately.
+            let store_block = (fi.inst.op == OpClass::Store)
+                .then(|| fi.data_addr.expect("stores have addresses").0 & !7);
+            self.lsq.push_back(LsqEntry {
+                seq: fi.seq,
+                store_block,
+            });
+        }
+        let run_start = match self.ruu.back() {
+            Some(tail) if tail.fi.seq + 1 == fi.seq => tail.run_start,
+            _ => me.slot,
+        };
+        let state = if pending == 0 {
+            // The youngest entry: appending keeps the list slot-ordered.
+            self.ready.push(me);
+            EntryState::Ready
+        } else {
+            EntryState::Waiting
+        };
+        self.ruu.push_back(RuuEntry {
+            fi,
+            state,
+            deps,
+            pending,
+            run_start,
+            completes_at: 0,
+        });
+        self.act.rename += 1;
+        self.act.window += 1;
     }
 }
 

@@ -54,32 +54,57 @@ pub(crate) enum EntryState {
     Completed,
 }
 
+/// An RUU slot: the absolute position of an entry in the window's
+/// allocation order. The entry at the RUU front has slot
+/// `Machine::ruu_front_slot`, so a live slot becomes an RUU index with
+/// one subtraction. Squash pops from the back, so a slot number is
+/// reused by the next dispatch; see [`SlotRef`].
+pub(crate) type Slot = u64;
+
+/// A cross-reference to an RUU entry: its slot plus the sequence number
+/// of the instruction that held it when the reference was taken.
+/// Slots are reused after a squash, so every holder (completion events,
+/// wake lists, the ready list) validates `seq` against the entry now in
+/// the slot: a mismatch is a stale reference, never a different
+/// instruction.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct SlotRef {
+    pub slot: Slot,
+    pub seq: Seq,
+}
+
 /// One register-update-unit (instruction window) entry.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct RuuEntry {
     pub fi: FetchedInst,
     pub state: EntryState,
-    /// Producer sequence numbers still outstanding.
+    /// Producer sequence numbers (resolved once at dispatch; kept for
+    /// the audit's readiness recomputation and debugging).
     pub deps: [Option<Seq>; 2],
-    /// For memory ops: whether the address has been computed (stores
-    /// publish their address at issue).
-    pub addr_known: bool,
+    /// Producers (counted with multiplicity) whose results were still
+    /// outstanding at dispatch and have not completed since. The entry
+    /// becomes `Ready` when this reaches zero.
+    pub pending: u8,
+    /// First slot of the seq-contiguous run this entry belongs to: the
+    /// entries from `run_start` to this one hold consecutive sequence
+    /// numbers (a squash gap starts a new run). May precede the RUU
+    /// front once older entries commit.
+    pub run_start: Slot,
     /// Completion cycle once issued.
     pub completes_at: Cycle,
 }
 
 impl RuuEntry {
-    pub fn new(fi: FetchedInst, deps: [Option<Seq>; 2]) -> Self {
-        RuuEntry {
-            fi,
-            state: EntryState::Waiting,
-            deps,
-            addr_known: false,
-            completes_at: 0,
-        }
-    }
-
     pub fn is_mem(&self) -> bool {
         self.fi.inst.op.is_mem()
     }
+}
+
+/// One load/store-queue entry. Disambiguation reads only the LSQ, so
+/// an entry carries everything it needs and never refers to the RUU.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct LsqEntry {
+    pub seq: Seq,
+    /// The 8-byte block a store writes; `None` for loads.
+    pub store_block: Option<u64>,
 }

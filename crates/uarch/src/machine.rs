@@ -17,7 +17,7 @@ use bw_workload::{BenchmarkModel, InstSource, StaticProgram, Thread};
 
 use crate::cache::{Cache, Tlb};
 use crate::config::UarchConfig;
-use crate::inflight::{BranchState, FetchedInst, RuuEntry};
+use crate::inflight::{BranchState, FetchedInst, LsqEntry, RuuEntry, Slot, SlotRef};
 use crate::stats::SimStats;
 
 /// The cycle-level out-of-order machine.
@@ -50,11 +50,21 @@ pub struct Machine<'p, S: InstSource = Thread<'p>> {
     pub(crate) fetch_stall_until: Cycle,
     pub(crate) fetch_queue: VecDeque<FetchedInst>,
     /// Decode + extra rename stages; index 0 is the youngest stage.
-    pub(crate) decode_pipe: VecDeque<Vec<FetchedInst>>,
+    pub(crate) decode_pipe: VecDeque<VecDeque<FetchedInst>>,
     // Backend.
     pub(crate) ruu: VecDeque<RuuEntry>,
-    pub(crate) lsq: VecDeque<Seq>,
-    pub(crate) completions: BinaryHeap<Reverse<(Cycle, Seq)>>,
+    /// Slot of the RUU front entry (see [`Slot`]).
+    pub(crate) ruu_front_slot: Slot,
+    pub(crate) lsq: VecDeque<LsqEntry>,
+    /// Completion events, ordered by (cycle, seq).
+    pub(crate) completions: BinaryHeap<Reverse<(Cycle, Seq, Slot)>>,
+    /// Per-slot wake lists: the consumers to notify when the entry in
+    /// the slot completes. Indexed by `slot & (len - 1)`; the length is
+    /// `ruu_size` rounded up to a power of two, so live slots never
+    /// share a list.
+    pub(crate) wake_lists: Vec<Vec<SlotRef>>,
+    /// `Ready` entries, oldest (lowest slot) first.
+    pub(crate) ready: Vec<SlotRef>,
     // Pipeline gating.
     pub(crate) low_conf_inflight: u32,
     // Bookkeeping.
@@ -209,10 +219,13 @@ impl<'p, S: InstSource> Machine<'p, S> {
             on_correct_path: true,
             fetch_stall_until: 0,
             fetch_queue: VecDeque::with_capacity(cfg.fetch_buffer as usize + 8),
-            decode_pipe: VecDeque::from(vec![Vec::new(); depth]),
+            decode_pipe: VecDeque::from(vec![VecDeque::new(); depth]),
             ruu: VecDeque::with_capacity(cfg.ruu_size as usize),
+            ruu_front_slot: 0,
             lsq: VecDeque::with_capacity(cfg.lsq_size as usize),
-            completions: BinaryHeap::new(),
+            completions: BinaryHeap::with_capacity(cfg.ruu_size as usize),
+            wake_lists: vec![Vec::new(); (cfg.ruu_size as usize).next_power_of_two()],
+            ready: Vec::with_capacity(cfg.ruu_size as usize),
             low_conf_inflight: 0,
             cycle: 0,
             next_seq: 0,
@@ -243,7 +256,7 @@ impl<'p, S: InstSource> Machine<'p, S> {
         format!(
             "cyc {} ruu {} lsq {} fq {} pipe {:?} head {:?} stall_until {} correct {} compl {} pc {} i$ {:?} l2 {:?}",
             self.cycle, self.ruu.len(), self.lsq.len(), self.fetch_queue.len(),
-            self.decode_pipe.iter().map(Vec::len).collect::<Vec<_>>(),
+            self.decode_pipe.iter().map(VecDeque::len).collect::<Vec<_>>(),
             head, self.fetch_stall_until, self.on_correct_path, self.completions.len(),
             self.fetch_pc, self.icache.stats(), self.l2.stats(),
         )
