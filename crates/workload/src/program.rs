@@ -10,6 +10,11 @@ pub const CODE_BASE: Addr = Addr(0x0010_0000);
 /// Base address of the function (callee) code region.
 pub const FUNC_BASE: Addr = Addr(0x0100_0000);
 
+/// Most instruction slots a region may hold. The main region must end
+/// where the function region begins; the function region gets the same
+/// room. Bounding the regions bounds the predecoded table.
+const MAX_REGION_SLOTS: u64 = (FUNC_BASE.0 - CODE_BASE.0) / INST_BYTES;
+
 /// How a basic block ends.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Terminator {
@@ -145,10 +150,8 @@ impl InstMix {
 pub struct StaticProgram {
     pub(crate) salt: u64,
     main_blocks: Vec<Block>,
-    main_starts: Vec<u64>,
     main_end: Addr,
     func_blocks: Vec<Block>,
-    func_starts: Vec<u64>,
     func_end: Addr,
     behaviors: Vec<Behavior>,
     mix: InstMix,
@@ -156,6 +159,58 @@ pub struct StaticProgram {
     /// (empty: body classes are hash-derived from `mix`). Used by
     /// imported traces, whose loads/stores sit at fixed PCs.
     main_ops: Vec<OpClass>,
+    /// One [`Predecoded`] record per main-region instruction slot.
+    main_table: Vec<Predecoded>,
+    /// One [`Predecoded`] record per function-region instruction slot.
+    func_table: Vec<Predecoded>,
+}
+
+/// The static part of one laid-out instruction slot, computed once when
+/// the program is assembled so [`StaticProgram::decode`] is a table
+/// load. Packed into 32 bits, as a program holds one per slot:
+///
+/// | bits   | body slot | terminator slot |
+/// |--------|-----------|-----------------|
+/// | 0..8   | `dep1`    | `dep1`          |
+/// | 8..16  | op class  | block index (bits 8..31) |
+/// | 16..24 | `dep2`    |                 |
+/// | 31     | 0         | 1               |
+///
+/// A terminator's [`CtiInfo`] lives in its block and is read through
+/// the block index on decode.
+#[derive(Clone, Copy, Debug)]
+struct Predecoded(u32);
+
+const TERM_FLAG: u32 = 1 << 31;
+
+// Every block index of a bounded region fits the terminator's 23 bits.
+const _: () = assert!(MAX_REGION_SLOTS < 1 << 23);
+
+impl Predecoded {
+    fn body(op: OpClass, dep1: u8, dep2: u8) -> Self {
+        Predecoded(u32::from(dep1) | (op as u32) << 8 | u32::from(dep2) << 16)
+    }
+
+    fn terminator(dep1: u8, block: u32) -> Self {
+        Predecoded(u32::from(dep1) | block << 8 | TERM_FLAG)
+    }
+
+    fn dep1(self) -> u8 {
+        self.0 as u8
+    }
+
+    /// The block index of a terminator slot; `None` for a body slot.
+    fn term_block(self) -> Option<usize> {
+        (self.0 & TERM_FLAG != 0).then_some(((self.0 & !TERM_FLAG) >> 8) as usize)
+    }
+
+    /// Op class and second dependency distance of a body slot.
+    fn body_rest(self) -> (OpClass, u8) {
+        (
+            OpClass::ALL[usize::from((self.0 >> 8) as u8)],
+            (self.0 >> 16) as u8,
+        )
+    }
 }
 
 /// Why explicit program parts could not be assembled into a
@@ -178,6 +233,14 @@ pub enum LayoutError {
         site: u32,
         /// Number of behaviour entries supplied.
         sites: usize,
+    },
+    /// A region held more instruction slots than fit before the next
+    /// region's base (the function region gets the same room).
+    RegionTooLarge {
+        /// `"main"` or `"func"`.
+        region: &'static str,
+        /// Instruction slots in the region.
+        slots: u64,
     },
     /// The explicit op table's length did not match the main region's
     /// instruction count.
@@ -203,6 +266,12 @@ impl std::fmt::Display for LayoutError {
                 write!(
                     f,
                     "conditional site {site} out of range ({sites} behaviours)"
+                )
+            }
+            LayoutError::RegionTooLarge { region, slots } => {
+                write!(
+                    f,
+                    "{region} region has {slots} instruction slots (at most {MAX_REGION_SLOTS})"
                 )
             }
             LayoutError::OpTableMismatch { expect, got } => {
@@ -273,22 +342,29 @@ impl StaticProgram {
                 }
             }
         }
-        let main_starts = main_blocks.iter().map(|b| b.start.0).collect();
-        let func_starts: Vec<u64> = func_blocks.iter().map(|b| b.start.0).collect();
         let main_end = main_blocks.last().map_or(CODE_BASE, Block::end);
         let func_end = func_blocks.last().map_or(FUNC_BASE, Block::end);
-        Ok(StaticProgram {
+        for (region, base, end) in [("main", CODE_BASE, main_end), ("func", FUNC_BASE, func_end)] {
+            let slots = (end.0 - base.0) / INST_BYTES;
+            if slots > MAX_REGION_SLOTS {
+                return Err(LayoutError::RegionTooLarge { region, slots });
+            }
+        }
+        let mut program = StaticProgram {
             salt,
             main_blocks,
-            main_starts,
             main_end,
             func_blocks,
-            func_starts,
             func_end,
             behaviors,
             mix,
             main_ops: Vec::new(),
-        })
+            main_table: Vec::new(),
+            func_table: Vec::new(),
+        };
+        program.main_table = program.predecode_region(&program.main_blocks, true);
+        program.func_table = program.predecode_region(&program.func_blocks, false);
+        Ok(program)
     }
 
     /// Attaches an explicit op class per main-region instruction slot,
@@ -309,7 +385,44 @@ impl StaticProgram {
             });
         }
         self.main_ops = ops;
+        self.main_table = self.predecode_region(&self.main_blocks, true);
         Ok(self)
+    }
+
+    /// Builds a region's predecoded table, walking its blocks in
+    /// layout order (slot `i` is the instruction at `base + 4i`).
+    fn predecode_region(&self, blocks: &[Block], is_main: bool) -> Vec<Predecoded> {
+        let slots = blocks.iter().map(Block::len_insts).sum::<u64>();
+        let mut table = Vec::with_capacity(slots as usize);
+        for (idx, block) in blocks.iter().enumerate() {
+            for i in 0..block.len_insts() {
+                let pc = block.start.offset_insts(i);
+                let term = (i == u64::from(block.body_len)).then_some(idx);
+                table.push(self.predecode(pc, term, is_main, table.len()));
+            }
+        }
+        table
+    }
+
+    /// The static part of the instruction at `pc`, which lies at region
+    /// slot `slot`; `term_block` is its block's index if it is that
+    /// block's terminator.
+    fn predecode(
+        &self,
+        pc: Addr,
+        term_block: Option<usize>,
+        is_main: bool,
+        slot: usize,
+    ) -> Predecoded {
+        if let Some(block) = term_block {
+            return Predecoded::terminator(self.dep_for(pc, 0), block as u32);
+        }
+        let op = if is_main && !self.main_ops.is_empty() {
+            self.main_ops[slot]
+        } else {
+            self.body_op(pc)
+        };
+        Predecoded::body(op, self.dep_for(pc, 1), self.dep_for(pc, 2))
     }
 
     /// The program entry point.
@@ -379,15 +492,70 @@ impl StaticProgram {
 
     /// Decodes the instruction at `pc`. Pure: depends only on `pc` and
     /// the program.
+    ///
+    /// Inside the laid-out regions this is one load from the predecoded
+    /// table (plus the block's terminator for a CTI); other PCs decode
+    /// to hash-synthesized wild code.
     #[must_use]
     pub fn decode(&self, pc: Addr) -> DecodedInst {
-        if pc >= CODE_BASE && pc < self.main_end {
-            return self.decode_in(&self.main_blocks, &self.main_starts, pc, true);
+        let Some((rec, blocks)) = self.lookup(pc) else {
+            return self.decode_wild(pc);
+        };
+        let Some(block) = rec.term_block() else {
+            let (op, dep2) = rec.body_rest();
+            return DecodedInst::simple(pc, op, rec.dep1(), dep2);
+        };
+        let info = match blocks[block].term {
+            Terminator::CondBranch { site, target } => CtiInfo {
+                kind: CtiKind::CondBranch,
+                target: Some(target),
+                site: Some(site),
+            },
+            Terminator::Jump { target } => CtiInfo {
+                kind: CtiKind::Jump,
+                target: Some(target),
+                site: None,
+            },
+            Terminator::Call { target } => CtiInfo {
+                kind: CtiKind::Call,
+                target: Some(target),
+                site: None,
+            },
+            Terminator::Return => CtiInfo {
+                kind: CtiKind::Return,
+                target: None,
+                site: None,
+            },
+            Terminator::IndirectJump { .. } => CtiInfo {
+                kind: CtiKind::IndirectJump,
+                target: None,
+                site: None,
+            },
+        };
+        DecodedInst::cti(pc, info, rec.dep1())
+    }
+
+    /// The predecoded record of the slot holding `pc` and the blocks of
+    /// its region, or `None` outside the laid-out regions.
+    ///
+    /// Laid-out code is reached at instruction-aligned PCs. A misaligned
+    /// PC (possible only through an explicit program's misaligned
+    /// target) shares its slot's block and role but hashes its own
+    /// operands, so it is predecoded on the spot.
+    fn lookup(&self, pc: Addr) -> Option<(Predecoded, &[Block])> {
+        let (base, table, blocks, is_main) = if pc >= CODE_BASE && pc < self.main_end {
+            (CODE_BASE, &self.main_table, &self.main_blocks, true)
+        } else if pc >= FUNC_BASE && pc < self.func_end {
+            (FUNC_BASE, &self.func_table, &self.func_blocks, false)
+        } else {
+            return None;
+        };
+        let slot = ((pc.0 - base.0) / INST_BYTES) as usize;
+        let rec = table[slot];
+        if pc.0.is_multiple_of(INST_BYTES) {
+            return Some((rec, blocks));
         }
-        if pc >= FUNC_BASE && pc < self.func_end {
-            return self.decode_in(&self.func_blocks, &self.func_starts, pc, false);
-        }
-        self.decode_wild(pc)
+        Some((self.predecode(pc, rec.term_block(), is_main, slot), blocks))
     }
 
     /// `true` if `pc` lies in a laid-out (architecturally reachable)
@@ -397,76 +565,20 @@ impl StaticProgram {
         (pc >= CODE_BASE && pc < self.main_end) || (pc >= FUNC_BASE && pc < self.func_end)
     }
 
-    fn decode_in(&self, blocks: &[Block], starts: &[u64], pc: Addr, is_main: bool) -> DecodedInst {
-        let idx = starts.partition_point(|&s| s <= pc.0) - 1;
-        let block = &blocks[idx];
-        debug_assert!(pc >= block.start && pc < block.end());
-        let slot = (pc.0 - block.start.0) / INST_BYTES;
-        if slot < u64::from(block.body_len) {
-            if is_main && !self.main_ops.is_empty() {
-                let main_slot = ((pc.0 - CODE_BASE.0) / INST_BYTES) as usize;
-                let op = self.main_ops[main_slot];
-                return DecodedInst::simple(pc, op, self.dep_for(pc, 1), self.dep_for(pc, 2));
-            }
-            self.body_inst(pc)
-        } else {
-            let info = match block.term {
-                Terminator::CondBranch { site, target } => CtiInfo {
-                    kind: CtiKind::CondBranch,
-                    target: Some(target),
-                    site: Some(site),
-                },
-                Terminator::Jump { target } => CtiInfo {
-                    kind: CtiKind::Jump,
-                    target: Some(target),
-                    site: None,
-                },
-                Terminator::Call { target } => CtiInfo {
-                    kind: CtiKind::Call,
-                    target: Some(target),
-                    site: None,
-                },
-                Terminator::Return => CtiInfo {
-                    kind: CtiKind::Return,
-                    target: None,
-                    site: None,
-                },
-                Terminator::IndirectJump { .. } => CtiInfo {
-                    kind: CtiKind::IndirectJump,
-                    target: None,
-                    site: None,
-                },
-            };
-            DecodedInst::cti(pc, info, self.dep_for(pc, 0))
-        }
-    }
-
     /// Targets of an indirect jump terminator at `pc`, if any.
     #[must_use]
     pub fn indirect_targets(&self, pc: Addr) -> Option<[Addr; 4]> {
-        let lookup = |blocks: &[Block], starts: &[u64]| -> Option<[Addr; 4]> {
-            let idx = starts.partition_point(|&s| s <= pc.0).checked_sub(1)?;
-            let block = &blocks[idx];
-            if block.term_pc() == pc {
-                if let Terminator::IndirectJump { targets } = block.term {
-                    return Some(targets);
-                }
-            }
-            None
-        };
-        if pc >= CODE_BASE && pc < self.main_end {
-            lookup(&self.main_blocks, &self.main_starts)
-        } else if pc >= FUNC_BASE && pc < self.func_end {
-            lookup(&self.func_blocks, &self.func_starts)
-        } else {
-            None
+        let (rec, blocks) = self.lookup(pc)?;
+        let block = &blocks[rec.term_block()?];
+        match block.term {
+            Terminator::IndirectJump { targets } if block.term_pc() == pc => Some(targets),
+            _ => None,
         }
     }
 
-    fn body_inst(&self, pc: Addr) -> DecodedInst {
-        let h = mix2(pc.0, self.salt);
-        let op = self.mix.pick(h);
-        DecodedInst::simple(pc, op, self.dep_for(pc, 1), self.dep_for(pc, 2))
+    /// Hash-derived op class of a body instruction at `pc`.
+    fn body_op(&self, pc: Addr) -> OpClass {
+        self.mix.pick(mix2(pc.0, self.salt))
     }
 
     fn dep_for(&self, pc: Addr, which: u64) -> u8 {
@@ -527,7 +639,12 @@ impl StaticProgram {
                     self.dep_for(pc, 0),
                 )
             }
-            _ => self.body_inst(pc),
+            _ => DecodedInst::simple(
+                pc,
+                self.body_op(pc),
+                self.dep_for(pc, 1),
+                self.dep_for(pc, 2),
+            ),
         }
     }
 }
@@ -695,6 +812,127 @@ mod tests {
         let p = tiny_program();
         // main: 4 + 3 + 1 insts? b0=3, b1=2, b2=1 -> 6 insts; func: 2.
         assert_eq!(p.code_bytes(), (6 + 2) * INST_BYTES);
+    }
+
+    /// Decodes a laid-out `pc` from the block lists alone, the way the
+    /// layout defines it: find the block by binary search over block
+    /// starts, then take the terminator or a body slot. Shares only the
+    /// operand hashes with the program, not its table.
+    fn reference_decode(p: &StaticProgram, pc: Addr) -> DecodedInst {
+        let (blocks, is_main) = if pc >= CODE_BASE && pc < p.main_end {
+            (p.main_blocks(), true)
+        } else {
+            (p.func_blocks(), false)
+        };
+        let block = &blocks[blocks.partition_point(|b| b.start <= pc) - 1];
+        assert!(pc >= block.start && pc < block.end());
+        if (pc.0 - block.start.0) / INST_BYTES < u64::from(block.body_len) {
+            let op = if is_main && !p.main_ops().is_empty() {
+                p.main_ops()[((pc.0 - CODE_BASE.0) / INST_BYTES) as usize]
+            } else {
+                p.body_op(pc)
+            };
+            return DecodedInst::simple(pc, op, p.dep_for(pc, 1), p.dep_for(pc, 2));
+        }
+        let (kind, target, site) = match block.term {
+            Terminator::CondBranch { site, target } => {
+                (CtiKind::CondBranch, Some(target), Some(site))
+            }
+            Terminator::Jump { target } => (CtiKind::Jump, Some(target), None),
+            Terminator::Call { target } => (CtiKind::Call, Some(target), None),
+            Terminator::Return => (CtiKind::Return, None, None),
+            Terminator::IndirectJump { .. } => (CtiKind::IndirectJump, None, None),
+        };
+        DecodedInst::cti(pc, CtiInfo { kind, target, site }, p.dep_for(pc, 0))
+    }
+
+    /// Checks the table decode against [`reference_decode`] at every
+    /// slot of both regions (and at a misaligned PC inside each block),
+    /// plus `indirect_targets` at every terminator.
+    fn assert_table_matches_reference(p: &StaticProgram) {
+        for (base, blocks) in [(CODE_BASE, p.main_blocks()), (FUNC_BASE, p.func_blocks())] {
+            let end = blocks.last().map_or(base, Block::end);
+            let mut pc = base;
+            while pc < end {
+                assert_eq!(p.decode(pc), reference_decode(p, pc), "at {pc}");
+                let odd = Addr(pc.0 + 2);
+                assert_eq!(p.decode(odd), reference_decode(p, odd), "at {odd}");
+                pc = pc.next();
+            }
+            for b in blocks {
+                let want = match b.term {
+                    Terminator::IndirectJump { targets } => Some(targets),
+                    _ => None,
+                };
+                assert_eq!(p.indirect_targets(b.term_pc()), want);
+                assert_eq!(
+                    p.indirect_targets(b.start),
+                    want.filter(|_| b.body_len == 0)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn predecoded_table_matches_reference_decode() {
+        for model in crate::all_benchmarks() {
+            let p = model.build_program(3);
+            assert_table_matches_reference(&p);
+        }
+        assert_table_matches_reference(&tiny_program());
+    }
+
+    #[test]
+    fn explicit_main_ops_table_matches_reference_decode() {
+        let base = crate::benchmark("gcc").unwrap().build_program(3);
+        let ops = [
+            OpClass::Load,
+            OpClass::Store,
+            OpClass::IntMul,
+            OpClass::FpAlu,
+        ];
+        let mut main_ops = Vec::new();
+        for b in base.main_blocks() {
+            for i in 0..b.body_len {
+                main_ops.push(ops[(b.start.0 as usize / 4 + i as usize) % ops.len()]);
+            }
+            main_ops.push(OpClass::Cti);
+        }
+        let p = StaticProgram::try_from_parts(
+            base.salt(),
+            base.main_blocks().to_vec(),
+            base.func_blocks().to_vec(),
+            base.behaviors().to_vec(),
+            base.inst_mix(),
+        )
+        .unwrap()
+        .with_explicit_main_ops(main_ops.clone())
+        .unwrap();
+        assert_eq!(p.main_ops(), &main_ops[..]);
+        assert_table_matches_reference(&p);
+        // The explicit table, not the mix, decides body op classes.
+        let body_ops = p
+            .main_blocks()
+            .iter()
+            .filter(|b| b.body_len > 0)
+            .map(|b| p.decode(b.start).op);
+        assert!(body_ops.clone().any(|op| op == OpClass::Store));
+        assert!(body_ops.clone().all(|op| ops.contains(&op)));
+    }
+
+    #[test]
+    fn oversized_region_rejected() {
+        let huge = Block {
+            start: CODE_BASE,
+            body_len: u32::MAX,
+            term: Terminator::Return,
+        };
+        let mix = tiny_program().inst_mix();
+        let err = StaticProgram::try_from_parts(0, vec![huge], vec![], vec![], mix).unwrap_err();
+        assert!(matches!(
+            err,
+            LayoutError::RegionTooLarge { region: "main", .. }
+        ));
     }
 
     #[test]
