@@ -291,9 +291,15 @@ fn main() {
     );
 
     // Sanitizer: the batched replay path stays invariant-clean.
-    let (audited, violations) =
-        bw_core::simulate_trace_audited(&trace, NamedPredictor::Gshare16k12.config(), &sim_cfg)
-            .expect("record_trace sized the trace for sim_cfg");
+    let out = bw_core::SimRequest::new(
+        bw_core::SimSource::Trace(&trace),
+        NamedPredictor::Gshare16k12.config(),
+        &sim_cfg,
+    )
+    .audited()
+    .run()
+    .expect("record_trace sized the trace for sim_cfg");
+    let (audited, violations) = (out.result, out.violations);
     let audit_clean = violations.is_empty();
     assert!(audit_clean, "audit violations on replay: {violations:?}");
     assert_eq!(

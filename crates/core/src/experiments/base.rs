@@ -10,7 +10,7 @@ use bw_trace::Trace;
 use bw_workload::BenchmarkModel;
 
 use crate::report::{f3, f4, mean, pct, Table};
-use crate::runner::{RunPlan, Runner};
+use crate::runner::{RunKey, RunPlan, RunSet, Runner};
 use crate::sim::{RunResult, SimConfig, TraceRunError};
 use crate::zoo::NamedPredictor;
 
@@ -21,6 +21,47 @@ pub struct SweepRow {
     pub predictor: NamedPredictor,
     /// The simulation result.
     pub run: RunResult,
+}
+
+/// The keys of a planned sweep, in figure order.
+type SweepKeys = Vec<(NamedPredictor, RunKey)>;
+
+/// Plans the paper's fourteen predictor configurations over a set of
+/// benchmark models, predictor-major.
+fn sweep_plan(models: &[&'static BenchmarkModel], cfg: &SimConfig) -> (RunPlan, SweepKeys) {
+    let mut plan = RunPlan::new();
+    let mut keys = Vec::with_capacity(NamedPredictor::FIGURE_ORDER.len() * models.len());
+    for p in NamedPredictor::FIGURE_ORDER {
+        for m in models {
+            let label = format!("{} / {}", p.label(), m.name);
+            keys.push((p, plan.add_labeled(m, p.config(), cfg, label)));
+        }
+    }
+    (plan, keys)
+}
+
+/// Plans the paper's fourteen predictor configurations over one
+/// recorded trace.
+fn trace_sweep_plan(
+    trace: &Arc<Trace>,
+    cfg: &SimConfig,
+) -> Result<(RunPlan, SweepKeys), TraceRunError> {
+    let mut plan = RunPlan::new();
+    let mut keys = Vec::with_capacity(NamedPredictor::FIGURE_ORDER.len());
+    for p in NamedPredictor::FIGURE_ORDER {
+        let label = format!("{} / {} (trace)", p.label(), trace.meta().name);
+        keys.push((p, plan.add_trace(trace, p.config(), cfg, label)?));
+    }
+    Ok((plan, keys))
+}
+
+/// The completed rows of an executed sweep, in figure order.
+fn sweep_of(keys: SweepKeys, mut set: RunSet) -> SupervisedSweep {
+    let rows = keys
+        .into_iter()
+        .filter_map(|(predictor, key)| set.remove(&key).map(|run| SweepRow { predictor, run }))
+        .collect();
+    SupervisedSweep { rows, set }
 }
 
 /// Plans the paper's fourteen predictor configurations over a set of
@@ -35,21 +76,8 @@ pub fn sweep_rows(
     cfg: &SimConfig,
     progress: impl FnMut(&str) + Send,
 ) -> Vec<SweepRow> {
-    let mut plan = RunPlan::new();
-    let mut keys = Vec::with_capacity(NamedPredictor::FIGURE_ORDER.len() * models.len());
-    for p in NamedPredictor::FIGURE_ORDER {
-        for m in models {
-            let label = format!("{} / {}", p.label(), m.name);
-            keys.push((p, plan.add_labeled(m, p.config(), cfg, label)));
-        }
-    }
-    let mut set = runner.run(&plan, progress);
-    keys.into_iter()
-        .map(|(predictor, key)| SweepRow {
-            predictor,
-            run: set.remove(&key).expect("planned run present"),
-        })
-        .collect()
+    let (plan, keys) = sweep_plan(models, cfg);
+    sweep_of(keys, runner.run(&plan, progress)).rows
 }
 
 /// Plans the paper's fourteen predictor configurations over one
@@ -70,20 +98,8 @@ pub fn trace_sweep_rows(
     cfg: &SimConfig,
     progress: impl FnMut(&str) + Send,
 ) -> Result<Vec<SweepRow>, TraceRunError> {
-    let mut plan = RunPlan::new();
-    let mut keys = Vec::with_capacity(NamedPredictor::FIGURE_ORDER.len());
-    for p in NamedPredictor::FIGURE_ORDER {
-        let label = format!("{} / {} (trace)", p.label(), trace.meta().name);
-        keys.push((p, plan.add_trace(trace, p.config(), cfg, label)?));
-    }
-    let mut set = runner.run(&plan, progress);
-    Ok(keys
-        .into_iter()
-        .map(|(predictor, key)| SweepRow {
-            predictor,
-            run: set.remove(&key).expect("planned run present"),
-        })
-        .collect())
+    let (plan, keys) = trace_sweep_plan(trace, cfg)?;
+    Ok(sweep_of(keys, runner.run(&plan, progress)).rows)
 }
 
 /// A supervised sweep: the rows that completed plus the typed report
@@ -93,19 +109,10 @@ pub fn trace_sweep_rows(
 pub struct SupervisedSweep {
     /// Completed cells (a strict subset of the plan when degraded).
     pub rows: Vec<SweepRow>,
-    /// The full supervised execution record (failures, retry and
-    /// quarantine counters).
-    pub set: crate::supervise::SupervisedRunSet,
-}
-
-impl SupervisedSweep {
-    /// `true` when any planned run failed (callers should print
-    /// [`SupervisedRunSet::summary`](crate::supervise::SupervisedRunSet::summary)
-    /// and exit nonzero).
-    #[must_use]
-    pub fn is_degraded(&self) -> bool {
-        self.set.is_degraded()
-    }
+    /// The full execution record. When it
+    /// [`is_degraded`](RunSet::is_degraded), callers print its
+    /// [`summary`](RunSet::summary) and exit nonzero.
+    pub set: RunSet,
 }
 
 /// Supervised form of [`sweep_rows`]: failed runs become failure
@@ -117,20 +124,8 @@ pub fn sweep_rows_supervised(
     cfg: &SimConfig,
     progress: impl FnMut(&str) + Send,
 ) -> SupervisedSweep {
-    let mut plan = RunPlan::new();
-    let mut keys = Vec::with_capacity(NamedPredictor::FIGURE_ORDER.len() * models.len());
-    for p in NamedPredictor::FIGURE_ORDER {
-        for m in models {
-            let label = format!("{} / {}", p.label(), m.name);
-            keys.push((p, plan.add_labeled(m, p.config(), cfg, label)));
-        }
-    }
-    let mut set = runner.run_supervised(&plan, progress);
-    let rows = keys
-        .into_iter()
-        .filter_map(|(predictor, key)| set.remove(&key).map(|run| SweepRow { predictor, run }))
-        .collect();
-    SupervisedSweep { rows, set }
+    let (plan, keys) = sweep_plan(models, cfg);
+    sweep_of(keys, runner.run_supervised(&plan, progress))
 }
 
 /// Supervised form of [`trace_sweep_rows`].
@@ -148,18 +143,8 @@ pub fn trace_sweep_rows_supervised(
     cfg: &SimConfig,
     progress: impl FnMut(&str) + Send,
 ) -> Result<SupervisedSweep, TraceRunError> {
-    let mut plan = RunPlan::new();
-    let mut keys = Vec::with_capacity(NamedPredictor::FIGURE_ORDER.len());
-    for p in NamedPredictor::FIGURE_ORDER {
-        let label = format!("{} / {} (trace)", p.label(), trace.meta().name);
-        keys.push((p, plan.add_trace(trace, p.config(), cfg, label)?));
-    }
-    let mut set = runner.run_supervised(&plan, progress);
-    let rows = keys
-        .into_iter()
-        .filter_map(|(predictor, key)| set.remove(&key).map(|run| SweepRow { predictor, run }))
-        .collect();
-    Ok(SupervisedSweep { rows, set })
+    let (plan, keys) = trace_sweep_plan(trace, cfg)?;
+    Ok(sweep_of(keys, runner.run_supervised(&plan, progress)))
 }
 
 /// Serial convenience form of [`sweep_rows`] — the paper's base sweep

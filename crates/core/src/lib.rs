@@ -6,10 +6,12 @@
 //!
 //! * [`zoo`] — the paper's fourteen named predictor configurations
 //!   (Section 3.1) plus `hybrid_0` from the pipeline-gating study.
-//! * [`SimConfig`] / [`simulate`] — one full warmup + measured
-//!   simulation of a benchmark model under a predictor configuration,
-//!   producing a [`RunResult`] with performance statistics, per-unit
-//!   energy, and re-priceable predictor activity totals.
+//! * [`SimConfig`] / [`SimRequest`] — one full warmup + measured
+//!   simulation of a benchmark model or recorded trace under a
+//!   predictor configuration, producing a [`RunResult`] with
+//!   performance statistics, per-unit energy, and re-priceable
+//!   predictor activity totals. [`simulate`] is the short form for a
+//!   benchmark model.
 //! * [`RunPlan`] / [`Runner`] / [`RunCache`] — the unified experiment
 //!   engine: figures declare the runs they need in a deduplicated
 //!   plan; the runner executes it on a worker pool, serving repeats
@@ -50,19 +52,15 @@ pub use runner::{
     RunSet, Runner, WorkloadId,
 };
 #[cfg(feature = "audit")]
+pub use sim::audit_replay_roundtrip;
 pub use sim::{
-    audit_replay_roundtrip, simulate_audited, simulate_audited_ctl, simulate_trace_audited,
-    simulate_trace_audited_ctl,
-};
-pub use sim::{
-    bpred_share, check_trace_budget, record_trace, simulate, simulate_ctl, simulate_trace,
-    simulate_trace_ctl, ConfigError, RunResult, SimConfig, SimConfigBuilder, TraceRunError,
+    bpred_share, check_trace_budget, record_trace, simulate, ConfigError, RunResult, SimConfig,
+    SimConfigBuilder, SimError, SimOutput, SimRequest, SimSource, TraceRunError,
 };
 #[cfg(feature = "audit")]
 pub use supervise::supervision_violations;
 pub use supervise::{
-    CancelToken, Cancelled, QuarantineView, RunFailure, RunOutcome, SupervisedRunSet, Supervision,
-    QUARANTINE_FILE,
+    CancelToken, Cancelled, QuarantineView, RunFailure, RunOutcome, Supervision, QUARANTINE_FILE,
 };
 
 /// Atomic filesystem helpers (re-export of [`bw_types::fsutil`]): the

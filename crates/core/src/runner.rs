@@ -43,15 +43,17 @@ use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Duration;
 
 use bw_predictors::PredictorConfig;
 use bw_trace::Trace;
+use bw_types::fnv1a;
 use bw_workload::BenchmarkModel;
 
-use crate::sim::{fnv1a, RunResult, SimConfig, TraceRunError};
+use crate::sim::{RunResult, SimConfig, SimError, SimRequest, SimSource, TraceRunError};
 use crate::supervise::{
-    attempt_run, CancelToken, Cancelled, Quarantine, RunFailure, RunOutcome, SupervisedRunSet,
-    Supervision, QUARANTINE_FILE,
+    attempt_run, CancelToken, Cancelled, Quarantine, RunFailure, RunOutcome, Supervision,
+    QUARANTINE_FILE,
 };
 
 /// An interned workload identifier: either a built-in benchmark name
@@ -298,39 +300,48 @@ impl RunPlan {
     }
 }
 
-/// The results of an executed [`RunPlan`], keyed by [`RunKey`].
+/// The results of an executed [`RunPlan`], keyed by [`RunKey`], plus
+/// the typed report of every run that did not complete.
+///
+/// A strict [`Runner::run`] that returns has an empty report; a
+/// [`Runner::run_supervised`] set may be degraded, in which case
+/// [`summary`](RunSet::summary) describes what failed.
 pub struct RunSet {
-    results: HashMap<RunKey, RunResult>,
-    executed: usize,
-    cache_hits: usize,
+    pub(crate) results: HashMap<RunKey, RunResult>,
+    pub(crate) failures: Vec<RunFailure>,
+    pub(crate) executed: usize,
+    pub(crate) cache_hits: usize,
+    pub(crate) quarantined: usize,
+    pub(crate) retries: u32,
+    pub(crate) supervision: Supervision,
 }
 
 impl RunSet {
-    /// Borrows the result for `key`, if the plan contained it.
+    /// Borrows the result for `key` if the run completed.
     #[must_use]
     pub fn get(&self, key: &RunKey) -> Option<&RunResult> {
         self.results.get(key)
     }
 
-    /// Removes and returns the result for `key` (each planned key is
-    /// present exactly once).
+    /// Removes and returns the result for `key` if the run completed
+    /// (each planned key is present at most once).
     pub fn remove(&mut self, key: &RunKey) -> Option<RunResult> {
         self.results.remove(key)
     }
 
-    /// Number of results held.
+    /// Number of completed results held.
     #[must_use]
     pub fn len(&self) -> usize {
         self.results.len()
     }
 
-    /// Whether the set is empty.
+    /// Whether no run completed.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.results.is_empty()
     }
 
-    /// How many runs were actually simulated (cache misses).
+    /// How many runs were simulated (cache misses).
     #[must_use]
     pub fn executed(&self) -> usize {
         self.executed
@@ -341,7 +352,77 @@ impl RunSet {
     pub fn cache_hits(&self) -> usize {
         self.cache_hits
     }
+
+    /// How many planned keys were skipped by the quarantine.
+    #[must_use]
+    pub fn quarantined(&self) -> usize {
+        self.quarantined
+    }
+
+    /// Total retry attempts consumed across all runs.
+    #[must_use]
+    pub fn retries(&self) -> u32 {
+        self.retries
+    }
+
+    /// Every recorded failure event (terminal failures plus recovered
+    /// cache corruptions), in plan order.
+    #[must_use]
+    pub fn failures(&self) -> &[RunFailure] {
+        &self.failures
+    }
+
+    /// `true` if anything went wrong — the sweep is usable but a
+    /// caller reporting results should surface the failure summary and
+    /// exit nonzero.
+    #[must_use]
+    pub fn is_degraded(&self) -> bool {
+        !self.failures.is_empty()
+    }
+
+    /// The policy this set was executed under.
+    #[must_use]
+    pub fn supervision(&self) -> &Supervision {
+        &self.supervision
+    }
+
+    /// A human-readable multi-line failure summary (empty string when
+    /// clean).
+    #[must_use]
+    pub fn summary(&self) -> String {
+        if self.failures.is_empty() {
+            return String::new();
+        }
+        let terminal = self
+            .failures
+            .iter()
+            .filter(|f| f.outcome.is_terminal_failure())
+            .count();
+        let mut out = format!(
+            "{} of {} run(s) degraded ({} executed, {} cache hit(s), {} retried):\n",
+            self.failures.len(),
+            self.results.len() + terminal,
+            self.executed,
+            self.cache_hits,
+            self.retries,
+        );
+        for f in &self.failures {
+            out.push_str("  FAILED ");
+            out.push_str(&f.to_string());
+            out.push('\n');
+        }
+        out
+    }
 }
+
+/// [`Runner::run`]'s policy: one attempt, no watchdog, no backoff, no
+/// quarantine.
+const STRICT: Supervision = Supervision {
+    run_timeout: None,
+    max_attempts: 1,
+    backoff: Duration::ZERO,
+    quarantine_after: 0,
+};
 
 /// Executes [`RunPlan`]s: cache lookups first, then the misses on a
 /// scoped worker pool.
@@ -450,52 +531,43 @@ impl Runner {
         self.cache.as_ref()
     }
 
-    /// Executes one planned simulation, auditing if enabled.
-    fn execute(&self, e: &PlanEntry) -> RunResult {
-        self.execute_ctl(e, None).expect("no token, cannot cancel")
-    }
-
-    /// Cancellable form of [`execute`](Runner::execute): the sim loop
-    /// polls `token` between instruction chunks. Under `fault-inject`
-    /// the entry's label becomes the thread's ambient injection scope,
-    /// so faults can target runs by the same labels a human sees in
-    /// progress output.
+    /// Executes one planned simulation, auditing if enabled; the sim
+    /// loop polls `token` between instruction chunks. Under
+    /// `fault-inject` the entry's label becomes the thread's ambient
+    /// injection scope, so faults can target runs by the same labels a
+    /// human sees in progress output.
     ///
     /// # Errors
     ///
     /// [`Cancelled`] when the token fired before the run completed.
-    fn execute_ctl(
-        &self,
-        e: &PlanEntry,
-        token: Option<&CancelToken>,
-    ) -> Result<RunResult, Cancelled> {
+    fn execute(&self, e: &PlanEntry, token: &CancelToken) -> Result<RunResult, Cancelled> {
         #[cfg(feature = "fault-inject")]
         let _scope = bw_fault::ScopeGuard::enter(&e.label);
+        let source = match &e.source {
+            PlanSource::Model(model) => SimSource::Model(model),
+            PlanSource::Trace(trace) => SimSource::Trace(trace),
+        };
+        let request = SimRequest::new(source, e.key.predictor, &e.cfg).cancellable(token);
+        #[cfg(feature = "audit")]
+        let request = if self.audit_sink.is_some() {
+            request.audited()
+        } else {
+            request
+        };
+        let output = match request.run() {
+            Ok(output) => output,
+            Err(SimError::Cancelled) => return Err(Cancelled),
+            Err(SimError::Trace(err)) => panic!("trace budget was validated at plan time: {err}"),
+        };
         #[cfg(feature = "audit")]
         if let Some(sink) = &self.audit_sink {
-            let (r, violations) = match &e.source {
-                PlanSource::Model(model) => {
-                    crate::simulate_audited_ctl(model, e.key.predictor, &e.cfg, token)?
-                }
-                PlanSource::Trace(trace) => {
-                    crate::simulate_trace_audited_ctl(trace, e.key.predictor, &e.cfg, token)
-                        .expect("trace budget was validated at plan time")?
-                }
-            };
-            if !violations.is_empty() {
-                sink.lock().expect("audit sink lock").extend(violations);
-            }
-            return Ok(r);
-        }
-        match &e.source {
-            PlanSource::Model(model) => {
-                crate::sim::simulate_ctl(model, e.key.predictor, &e.cfg, token)
-            }
-            PlanSource::Trace(trace) => {
-                crate::sim::simulate_trace_ctl(trace, e.key.predictor, &e.cfg, token)
-                    .expect("trace budget was validated at plan time")
+            if !output.violations.is_empty() {
+                sink.lock()
+                    .expect("audit sink lock")
+                    .extend(output.violations);
             }
         }
+        Ok(output.result)
     }
 
     /// The worker count this runner uses.
@@ -516,90 +588,32 @@ impl Runner {
     ///
     /// # Panics
     ///
-    /// Panics if a worker thread panics (a simulation bug). Results
-    /// completed by other workers before the panic are still stored to
-    /// the cache first, so a re-invocation resumes instead of
-    /// restarting.
-    pub fn run(&self, plan: &RunPlan, mut progress: impl FnMut(&str) + Send) -> RunSet {
-        let mut results = HashMap::with_capacity(plan.entries.len());
-        let mut misses: Vec<&PlanEntry> = Vec::new();
-        for e in &plan.entries {
-            match self.probe_cache(e) {
-                CacheLookup::Hit(r) => {
-                    results.insert(e.key, *r);
-                }
-                CacheLookup::Corrupt(path) => {
-                    if let Some(c) = self.effective_cache() {
-                        c.evict(&path);
-                    }
-                    misses.push(e);
-                }
-                CacheLookup::Miss => misses.push(e),
-            }
+    /// Panics if a simulation panics, with the original message. No
+    /// new run starts after the first failure, but runs already in
+    /// flight finish and are stored to the cache first, so a
+    /// re-invocation resumes instead of restarting.
+    pub fn run(&self, plan: &RunPlan, progress: impl FnMut(&str) + Send) -> RunSet {
+        let set = self.execute_plan(plan, progress, true);
+        // The strict policy records terminal failures only.
+        if let Some(f) = set.failures.first() {
+            panic!("{f}");
         }
-        let cache_hits = results.len();
-        let executed = misses.len();
+        set
+    }
 
-        if self.jobs <= 1 || misses.len() <= 1 {
-            for e in &misses {
-                progress(&e.label);
-                let r = self.execute(e);
-                if let Some(c) = self.effective_cache() {
-                    c.store(&e.key, &r);
-                }
-                results.insert(e.key, r);
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let abort = AtomicBool::new(false);
-            let panicked: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-            let done: Mutex<Vec<(RunKey, RunResult)>> = Mutex::new(Vec::with_capacity(executed));
-            let progress: Mutex<&mut (dyn FnMut(&str) + Send)> = Mutex::new(&mut progress);
-            std::thread::scope(|s| {
-                for _ in 0..self.jobs.min(misses.len()) {
-                    s.spawn(|| loop {
-                        if abort.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(e) = misses.get(i) else { break };
-                        (progress.lock().expect("progress lock"))(&e.label);
-                        // Isolate the panic so siblings finish their
-                        // in-flight runs (and cache them) instead of
-                        // having the scope tear the whole sweep down
-                        // with the results lost.
-                        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            self.execute(e)
-                        })) {
-                            Ok(r) => {
-                                if let Some(c) = self.effective_cache() {
-                                    c.store(&e.key, &r);
-                                }
-                                done.lock().expect("result lock").push((e.key, r));
-                            }
-                            Err(payload) => {
-                                abort.store(true, Ordering::Relaxed);
-                                let mut slot = panicked.lock().expect("panic slot lock");
-                                if slot.is_none() {
-                                    *slot = Some(payload);
-                                }
-                                break;
-                            }
-                        }
-                    });
-                }
-            });
-            results.extend(done.into_inner().expect("result lock"));
-            if let Some(payload) = panicked.into_inner().expect("panic slot lock") {
-                std::panic::resume_unwind(payload);
-            }
-        }
-
-        RunSet {
-            results,
-            executed,
-            cache_hits,
-        }
+    /// Executes every run in `plan` under the supervision policy
+    /// ([`Runner::supervised`]): each run is isolated with
+    /// `catch_unwind`, watched by a wall-clock deadline, retried with
+    /// backoff, and reported as a typed [`RunOutcome`] instead of
+    /// unwinding the sweep. Keys whose persistent failure count
+    /// reached the quarantine threshold are skipped outright.
+    ///
+    /// Healthy runs produce results identical to
+    /// [`run`](Runner::run) — both go through the same executor, and
+    /// supervision is pure bookkeeping around the same deterministic
+    /// simulations.
+    pub fn run_supervised(&self, plan: &RunPlan, progress: impl FnMut(&str) + Send) -> RunSet {
+        self.execute_plan(plan, progress, false)
     }
 
     /// Probes the cache for one entry (fault-injection hook included:
@@ -616,25 +630,30 @@ impl Runner {
         cache.load_checked(&e.key)
     }
 
-    /// Executes every run in `plan` under the supervision policy
-    /// ([`Runner::supervised`]): each run is isolated with
-    /// `catch_unwind`, watched by a wall-clock deadline, retried with
-    /// backoff, and reported as a typed [`RunOutcome`] instead of
-    /// unwinding the sweep. Keys whose persistent failure count
-    /// reached the quarantine threshold are skipped outright.
+    /// The one executor behind [`run`](Runner::run) and
+    /// [`run_supervised`](Runner::run_supervised): quarantine check
+    /// and cache probe per entry, then the misses on a worker pool,
+    /// each under [`attempt_run`].
     ///
-    /// Healthy runs produce results identical to
-    /// [`run`](Runner::run) — supervision is pure bookkeeping around
-    /// the same deterministic simulations.
-    pub fn run_supervised(
+    /// `strict` selects [`run`](Runner::run)'s policy: [`STRICT`]
+    /// instead of the runner's [`Supervision`], no quarantine ledger
+    /// read or written, no report of self-healed cache corruption, and
+    /// no new claims after the first terminal failure (in-flight runs
+    /// still finish and are cached).
+    fn execute_plan(
         &self,
         plan: &RunPlan,
-        mut progress: impl FnMut(&str) + Send,
-    ) -> SupervisedRunSet {
-        let sup = self.supervision.clone();
+        progress: impl FnMut(&str) + Send,
+        strict: bool,
+    ) -> RunSet {
+        let sup = if strict {
+            STRICT
+        } else {
+            self.supervision.clone()
+        };
         let mut quarantine = match self.effective_cache() {
-            Some(c) => Quarantine::load(c.dir().join(QUARANTINE_FILE)),
-            None => Quarantine::ephemeral(),
+            Some(c) if !strict => Quarantine::load(c.dir().join(QUARANTINE_FILE)),
+            _ => Quarantine::ephemeral(),
         };
 
         let mut results = HashMap::with_capacity(plan.entries.len());
@@ -644,26 +663,22 @@ impl Runner {
         let mut misses: Vec<(usize, &PlanEntry)> = Vec::new();
         let mut cache_hits = 0;
         let mut quarantined = 0;
-        let mut corrupt_evicted = 0;
+        let failure = |e: &PlanEntry, outcome| RunFailure {
+            key: e.key,
+            label: e.label.clone(),
+            outcome,
+        };
 
         for (i, e) in plan.entries.iter().enumerate() {
-            if sup.quarantine_after > 0 {
-                if let Some(q) = quarantine.entry(e.key.digest()) {
-                    if q.failures >= sup.quarantine_after {
-                        quarantined += 1;
-                        failures.push((
-                            i,
-                            RunFailure {
-                                key: e.key,
-                                label: e.label.clone(),
-                                outcome: RunOutcome::Quarantined {
-                                    failures: q.failures,
-                                    last_error: q.last_error.clone(),
-                                },
-                            },
-                        ));
-                        continue;
-                    }
+            if let Some(q) = quarantine.entry(&e.key) {
+                if sup.quarantines(q.failures) {
+                    quarantined += 1;
+                    let outcome = RunOutcome::Quarantined {
+                        failures: q.failures,
+                        last_error: q.last_error.clone(),
+                    };
+                    failures.push((i, failure(e, outcome)));
+                    continue;
                 }
             }
             match self.probe_cache(e) {
@@ -672,123 +687,86 @@ impl Runner {
                     cache_hits += 1;
                 }
                 CacheLookup::Corrupt(path) => {
-                    // Self-heal (evict + re-execute) but still report:
-                    // a corrupted entry means something damaged the
-                    // results directory, and a silent repair would
-                    // hide it.
+                    // Self-heal (evict + re-execute), and under
+                    // supervision still report: a corrupted entry
+                    // means something damaged the results directory,
+                    // and a silent repair would hide it.
                     if let Some(c) = self.effective_cache() {
                         c.evict(&path);
                     }
-                    corrupt_evicted += 1;
-                    failures.push((
-                        i,
-                        RunFailure {
-                            key: e.key,
-                            label: e.label.clone(),
-                            outcome: RunOutcome::CacheCorrupt { path },
-                        },
-                    ));
+                    if !strict {
+                        failures.push((i, failure(e, RunOutcome::CacheCorrupt { path })));
+                    }
                     misses.push((i, e));
                 }
                 CacheLookup::Miss => misses.push((i, e)),
             }
         }
         let executed = misses.len();
-        let abort = Arc::new(AtomicBool::new(false));
+
+        let next = AtomicUsize::new(0);
+        let stop = AtomicBool::new(false);
         let retries = AtomicUsize::new(0);
-
-        let attempt = |e: &PlanEntry| -> RunOutcome {
-            let (outcome, tries) =
-                attempt_run(&sup, &abort, |token| self.execute_ctl(e, Some(token)));
-            retries.fetch_add(tries as usize, Ordering::Relaxed);
-            if let RunOutcome::Ok(r) = &outcome {
-                if let Some(c) = self.effective_cache() {
-                    c.store(&e.key, r);
-                }
-            }
-            outcome
-        };
-
-        if self.jobs <= 1 || misses.len() <= 1 {
-            for (i, e) in &misses {
-                progress(&e.label);
-                match attempt(e) {
+        let done: Mutex<Vec<(usize, RunOutcome)>> = Mutex::new(Vec::with_capacity(executed));
+        let progress = Mutex::new(progress);
+        let worker = || {
+            while !stop.load(Ordering::Relaxed) {
+                let Some(&(i, e)) = misses.get(next.fetch_add(1, Ordering::Relaxed)) else {
+                    break;
+                };
+                (progress.lock().expect("progress lock"))(&e.label);
+                let (outcome, tries) = attempt_run(&sup, |token| self.execute(e, token));
+                retries.fetch_add(tries as usize, Ordering::Relaxed);
+                match &outcome {
                     RunOutcome::Ok(r) => {
-                        results.insert(e.key, *r);
+                        if let Some(c) = self.effective_cache() {
+                            c.store(&e.key, r);
+                        }
                     }
-                    outcome => failures.push((
-                        *i,
-                        RunFailure {
-                            key: e.key,
-                            label: e.label.clone(),
-                            outcome,
-                        },
-                    )),
+                    _ if strict => stop.store(true, Ordering::Relaxed),
+                    _ => {}
                 }
+                done.lock().expect("result lock").push((i, outcome));
             }
+        };
+        let workers = self.jobs.min(misses.len());
+        if workers <= 1 {
+            worker();
         } else {
-            let next = AtomicUsize::new(0);
-            let done: Mutex<Vec<(usize, RunKey, String, RunOutcome)>> =
-                Mutex::new(Vec::with_capacity(executed));
-            let attempt = &attempt;
-            let progress: Mutex<&mut (dyn FnMut(&str) + Send)> = Mutex::new(&mut progress);
             std::thread::scope(|s| {
-                for _ in 0..self.jobs.min(misses.len()) {
-                    s.spawn(|| loop {
-                        let slot = next.fetch_add(1, Ordering::Relaxed);
-                        let Some((i, e)) = misses.get(slot) else {
-                            break;
-                        };
-                        (progress.lock().expect("progress lock"))(&e.label);
-                        let outcome = attempt(e);
-                        done.lock().expect("result lock").push((
-                            *i,
-                            e.key,
-                            e.label.clone(),
-                            outcome,
-                        ));
-                    });
+                for _ in 0..workers {
+                    s.spawn(worker);
                 }
             });
-            for (i, key, label, outcome) in done.into_inner().expect("result lock") {
-                match outcome {
-                    RunOutcome::Ok(r) => {
-                        results.insert(key, *r);
-                    }
-                    outcome => failures.push((
-                        i,
-                        RunFailure {
-                            key,
-                            label,
-                            outcome,
-                        },
-                    )),
-                }
-            }
         }
-
-        for (_, f) in &failures {
-            if f.outcome.is_terminal_failure()
-                && !matches!(f.outcome, RunOutcome::Quarantined { .. })
-            {
-                quarantine.record_failure(&f.key, &f.outcome);
+        for (i, outcome) in done.into_inner().expect("result lock") {
+            let e = &plan.entries[i];
+            match outcome {
+                RunOutcome::Ok(r) => {
+                    results.insert(e.key, *r);
+                }
+                outcome => {
+                    quarantine.record_failure(&e.key, &outcome);
+                    failures.push((i, failure(e, outcome)));
+                }
             }
         }
         quarantine.save();
 
         failures.sort_by_key(|(i, _)| *i);
-        let set = SupervisedRunSet {
+        let set = RunSet {
             results,
             failures: failures.into_iter().map(|(_, f)| f).collect(),
             executed,
             cache_hits,
             quarantined,
-            corrupt_evicted,
             retries: u32::try_from(retries.into_inner()).unwrap_or(u32::MAX),
             supervision: sup,
         };
+        // A stopped strict run is about to re-raise its failure; the
+        // entries it never claimed are not supervision bugs.
         #[cfg(feature = "audit")]
-        if let Some(sink) = &self.audit_sink {
+        if let (Some(sink), false) = (&self.audit_sink, stop.into_inner()) {
             let violations = crate::supervise::supervision_violations(plan, &set);
             if !violations.is_empty() {
                 sink.lock().expect("audit sink lock").extend(violations);

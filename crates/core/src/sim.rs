@@ -5,6 +5,7 @@ use bw_arrays::{ModelKind, TechParams};
 use bw_power::{BpredOptions, BpredPower, BpredTotals, EnergyReport};
 use bw_predictors::PredictorConfig;
 use bw_trace::{DecodedTrace, Trace, REPLAY_SLACK_INSTS};
+use bw_types::fnv1a;
 use bw_uarch::{Machine, SimStats, UarchConfig};
 use bw_workload::{BenchmarkModel, InstSource};
 
@@ -94,16 +95,6 @@ impl SimConfig {
     pub fn digest(&self) -> u64 {
         fnv1a(format!("{self:?}").as_bytes())
     }
-}
-
-/// FNV-1a, the repo's stable non-cryptographic content hash.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// A validation failure from [`SimConfigBuilder::build`].
@@ -489,7 +480,8 @@ fn drive<S: InstSource>(
     Ok(())
 }
 
-/// Runs one benchmark under one predictor configuration.
+/// Runs one benchmark under one predictor configuration: the short
+/// form of [`SimRequest::run`] for a model with no cancel token.
 ///
 /// Builds the program, fast-forwards `cfg.warmup_insts` trace-style,
 /// then simulates `cfg.measure_insts` committed instructions under
@@ -500,82 +492,163 @@ pub fn simulate(
     predictor: PredictorConfig,
     cfg: &SimConfig,
 ) -> RunResult {
-    simulate_ctl(model, predictor, cfg, None).expect("no token, cannot cancel")
+    let run = SimRequest::new(SimSource::Model(model), predictor, cfg).run();
+    run.expect("a model run without a token cannot fail").result
 }
 
-/// Cancellable form of [`simulate`], used by the supervised runner:
-/// the drive loop polls `token` every [`CANCEL_CHECK_INSTS`]
-/// instructions and abandons the run when it fires. With `token`
-/// `None` the result is identical to [`simulate`].
-///
-/// # Errors
-///
-/// [`Cancelled`] when the token fired before the run completed.
-pub fn simulate_ctl(
-    model: &'static BenchmarkModel,
-    predictor: PredictorConfig,
-    cfg: &SimConfig,
-    token: Option<&CancelToken>,
-) -> Result<RunResult, Cancelled> {
-    let program = model.build_program(cfg.seed);
-    let mut machine = Machine::with_power(
-        &cfg.uarch, &program, model, cfg.seed, predictor, cfg.kind, cfg.banked, &cfg.tech,
-    );
-    drive(&mut machine, cfg, token)?;
-    Ok(RunResult {
-        benchmark: model.name.to_string(),
-        predictor: predictor.build().describe(),
-        stats: *machine.stats(),
-        energy: machine.power_report(),
-        totals: machine.bpred_totals(),
-        bpred_power: machine.bpred_power().clone(),
-    })
+/// Where a simulation's instructions come from.
+#[derive(Clone, Copy, Debug)]
+pub enum SimSource<'a> {
+    /// Generate mode: a built-in benchmark model runs live.
+    Model(&'static BenchmarkModel),
+    /// Replay mode: the oracle stream comes from a recording.
+    Trace(&'a Trace),
 }
 
-/// Like [`simulate`], but with the runtime sanitizer enabled: every
-/// cycle, commit, and misprediction recovery is checked against the
-/// audit invariants, and any violations are returned alongside the
-/// (otherwise identical) result.
-///
-/// The sanitizer is observation-only — the [`RunResult`] is
-/// byte-identical to what [`simulate`] produces for the same inputs.
-#[cfg(feature = "audit")]
-#[must_use]
-pub fn simulate_audited(
-    model: &'static BenchmarkModel,
+/// One simulation to run; [`SimRequest::run`] is the workspace's one
+/// simulation entry point.
+#[derive(Clone, Copy, Debug)]
+pub struct SimRequest<'a> {
+    source: SimSource<'a>,
     predictor: PredictorConfig,
-    cfg: &SimConfig,
-) -> (RunResult, Vec<bw_uarch::audit::Violation>) {
-    simulate_audited_ctl(model, predictor, cfg, None).expect("no token, cannot cancel")
+    cfg: &'a SimConfig,
+    token: Option<&'a CancelToken>,
+    #[cfg(feature = "audit")]
+    audit: bool,
 }
 
-/// Cancellable form of [`simulate_audited`].
-///
-/// # Errors
-///
-/// [`Cancelled`] when the token fired before the run completed.
-#[cfg(feature = "audit")]
-pub fn simulate_audited_ctl(
-    model: &'static BenchmarkModel,
-    predictor: PredictorConfig,
-    cfg: &SimConfig,
-    token: Option<&CancelToken>,
-) -> Result<(RunResult, Vec<bw_uarch::audit::Violation>), Cancelled> {
-    let program = model.build_program(cfg.seed);
-    let mut machine = Machine::with_power(
-        &cfg.uarch, &program, model, cfg.seed, predictor, cfg.kind, cfg.banked, &cfg.tech,
-    );
-    machine.enable_audit(model.name);
-    drive(&mut machine, cfg, token)?;
-    let result = RunResult {
-        benchmark: model.name.to_string(),
-        predictor: predictor.build().describe(),
-        stats: *machine.stats(),
-        energy: machine.power_report(),
-        totals: machine.bpred_totals(),
-        bpred_power: machine.bpred_power().clone(),
-    };
-    Ok((result, machine.take_audit_violations()))
+/// What a completed [`SimRequest`] produced.
+#[derive(Clone, Debug)]
+pub struct SimOutput {
+    /// The run's metrics.
+    pub result: RunResult,
+    /// Sanitizer violations (empty unless the request was audited).
+    #[cfg(feature = "audit")]
+    pub violations: Vec<bw_uarch::audit::Violation>,
+}
+
+/// Why a [`SimRequest`] produced no result.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum SimError {
+    /// The trace is too short for the budget (checked before the run).
+    Trace(TraceRunError),
+    /// The cancel token fired before the run completed.
+    Cancelled,
+}
+
+impl std::fmt::Display for SimError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SimError::Trace(e) => e.fmt(f),
+            SimError::Cancelled => write!(f, "the run was cancelled"),
+        }
+    }
+}
+
+impl std::error::Error for SimError {}
+
+impl<'a> SimRequest<'a> {
+    /// A request with no cancel token and no sanitizer.
+    #[must_use]
+    pub fn new(source: SimSource<'a>, predictor: PredictorConfig, cfg: &'a SimConfig) -> Self {
+        SimRequest {
+            source,
+            predictor,
+            cfg,
+            token: None,
+            #[cfg(feature = "audit")]
+            audit: false,
+        }
+    }
+
+    /// Polls `token` every [`CANCEL_CHECK_INSTS`] instructions and
+    /// abandons the run when it fires; polling never changes a result.
+    #[must_use]
+    pub fn cancellable(mut self, token: &'a CancelToken) -> Self {
+        self.token = Some(token);
+        self
+    }
+
+    /// Checks every cycle, commit and recovery against the audit
+    /// invariants. Observation-only: the [`RunResult`] is unchanged.
+    #[cfg(feature = "audit")]
+    #[must_use]
+    pub fn audited(mut self) -> Self {
+        self.audit = true;
+        self
+    }
+
+    /// Runs the simulation.
+    ///
+    /// A trace is decoded once up front into its bitcode form
+    /// ([`DecodedTrace`]) and replayed through the zero-copy
+    /// [`DecodedReader`](bw_trace::DecodedReader) on a machine sized
+    /// and powered exactly as in generate mode, so replaying a trace
+    /// recorded from a benchmark model yields byte-identical
+    /// [`SimStats`] to generating it. `cfg.seed` does not influence
+    /// replay but still keys the cache via the config digest.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Trace`] if a trace is shorter than warmup + measure
+    /// (+ in-flight slack); [`SimError::Cancelled`] if the token fired.
+    pub fn run(&self) -> Result<SimOutput, SimError> {
+        let (cfg, predictor) = (self.cfg, self.predictor);
+        match self.source {
+            SimSource::Model(model) => {
+                let program = model.build_program(cfg.seed);
+                self.finish(
+                    Machine::with_power(
+                        &cfg.uarch, &program, model, cfg.seed, predictor, cfg.kind, cfg.banked,
+                        &cfg.tech,
+                    ),
+                    model.name,
+                )
+            }
+            SimSource::Trace(trace) => {
+                check_trace_budget(trace, cfg).map_err(SimError::Trace)?;
+                let decoded = DecodedTrace::new(trace);
+                self.finish(
+                    Machine::with_source(
+                        &cfg.uarch,
+                        trace.program(),
+                        decoded.reader(),
+                        trace.meta().working_set,
+                        predictor,
+                        cfg.kind,
+                        cfg.banked,
+                        &cfg.tech,
+                    ),
+                    &trace.meta().name,
+                )
+            }
+        }
+    }
+
+    /// Drives a constructed machine and collects its [`RunResult`].
+    fn finish<S: InstSource>(
+        &self,
+        mut machine: Machine<'_, S>,
+        benchmark: &str,
+    ) -> Result<SimOutput, SimError> {
+        #[cfg(feature = "audit")]
+        if self.audit {
+            machine.enable_audit(benchmark);
+        }
+        drive(&mut machine, self.cfg, self.token).map_err(|Cancelled| SimError::Cancelled)?;
+        Ok(SimOutput {
+            result: RunResult {
+                benchmark: benchmark.to_string(),
+                predictor: self.predictor.build().describe(),
+                stats: *machine.stats(),
+                energy: machine.power_report(),
+                totals: machine.bpred_totals(),
+                bpred_power: machine.bpred_power().clone(),
+            },
+            #[cfg(feature = "audit")]
+            violations: machine.take_audit_violations(),
+        })
+    }
 }
 
 /// Why a trace-driven run could not start.
@@ -623,131 +696,6 @@ pub fn check_trace_budget(trace: &Trace, cfg: &SimConfig) -> Result<(), TraceRun
     Ok(())
 }
 
-/// Runs one recorded trace under one predictor configuration
-/// (replay mode).
-///
-/// The machine is constructed exactly as [`simulate`] constructs it —
-/// same sizing, same power model — but its oracle instruction stream
-/// comes from the recording instead of a live workload thread, so
-/// replaying a trace recorded from a benchmark model yields
-/// byte-identical [`SimStats`] to generating that workload, while
-/// skipping all behaviour-automaton and hash-draw work.
-///
-/// The trace is decoded once up front into its bitcode form
-/// ([`DecodedTrace`]) and replayed through the zero-copy
-/// [`DecodedReader`](bw_trace::DecodedReader), so the hot loop pays no
-/// per-record varint/RLE work; the decoded form is guaranteed (and
-/// tested in `bw-trace`) to produce the same step stream as the
-/// streaming [`TraceReader`](bw_trace::TraceReader).
-///
-/// `cfg.seed` does not influence replay (the stream is frozen in the
-/// trace), but it still participates in cache keying via the config
-/// digest.
-///
-/// # Errors
-///
-/// [`TraceRunError::BudgetExceedsTrace`] if the recording is shorter
-/// than warmup + measure (+ in-flight slack).
-pub fn simulate_trace(
-    trace: &Trace,
-    predictor: PredictorConfig,
-    cfg: &SimConfig,
-) -> Result<RunResult, TraceRunError> {
-    Ok(simulate_trace_ctl(trace, predictor, cfg, None)?.expect("no token, cannot cancel"))
-}
-
-/// Cancellable form of [`simulate_trace`]: the budget check stays an
-/// outer [`TraceRunError`]; the inner result reports cancellation.
-///
-/// # Errors
-///
-/// [`TraceRunError::BudgetExceedsTrace`] if the recording is shorter
-/// than warmup + measure (+ in-flight slack).
-pub fn simulate_trace_ctl(
-    trace: &Trace,
-    predictor: PredictorConfig,
-    cfg: &SimConfig,
-    token: Option<&CancelToken>,
-) -> Result<Result<RunResult, Cancelled>, TraceRunError> {
-    check_trace_budget(trace, cfg)?;
-    let decoded = DecodedTrace::new(trace);
-    let mut machine = Machine::with_source(
-        &cfg.uarch,
-        trace.program(),
-        decoded.reader(),
-        trace.meta().working_set,
-        predictor,
-        cfg.kind,
-        cfg.banked,
-        &cfg.tech,
-    );
-    if drive(&mut machine, cfg, token).is_err() {
-        return Ok(Err(Cancelled));
-    }
-    Ok(Ok(RunResult {
-        benchmark: trace.meta().name.clone(),
-        predictor: predictor.build().describe(),
-        stats: *machine.stats(),
-        energy: machine.power_report(),
-        totals: machine.bpred_totals(),
-        bpred_power: machine.bpred_power().clone(),
-    }))
-}
-
-/// Like [`simulate_trace`], but with the runtime sanitizer enabled.
-///
-/// # Errors
-///
-/// Same as [`simulate_trace`].
-#[cfg(feature = "audit")]
-pub fn simulate_trace_audited(
-    trace: &Trace,
-    predictor: PredictorConfig,
-    cfg: &SimConfig,
-) -> Result<(RunResult, Vec<bw_uarch::audit::Violation>), TraceRunError> {
-    Ok(simulate_trace_audited_ctl(trace, predictor, cfg, None)?.expect("no token, cannot cancel"))
-}
-
-/// Cancellable form of [`simulate_trace_audited`].
-///
-/// # Errors
-///
-/// Same as [`simulate_trace_ctl`].
-#[cfg(feature = "audit")]
-#[allow(clippy::type_complexity)] // mirror of simulate_trace_ctl with audit evidence
-pub fn simulate_trace_audited_ctl(
-    trace: &Trace,
-    predictor: PredictorConfig,
-    cfg: &SimConfig,
-    token: Option<&CancelToken>,
-) -> Result<Result<(RunResult, Vec<bw_uarch::audit::Violation>), Cancelled>, TraceRunError> {
-    check_trace_budget(trace, cfg)?;
-    let decoded = DecodedTrace::new(trace);
-    let mut machine = Machine::with_source(
-        &cfg.uarch,
-        trace.program(),
-        decoded.reader(),
-        trace.meta().working_set,
-        predictor,
-        cfg.kind,
-        cfg.banked,
-        &cfg.tech,
-    );
-    machine.enable_audit(&trace.meta().name);
-    if drive(&mut machine, cfg, token).is_err() {
-        return Ok(Err(Cancelled));
-    }
-    let result = RunResult {
-        benchmark: trace.meta().name.clone(),
-        predictor: predictor.build().describe(),
-        stats: *machine.stats(),
-        energy: machine.power_report(),
-        totals: machine.bpred_totals(),
-        bpred_power: machine.bpred_power().clone(),
-    };
-    Ok(Ok((result, machine.take_audit_violations())))
-}
-
 /// Records `model` into a trace sized for `cfg`'s budget (warmup +
 /// measure + [`REPLAY_SLACK_INSTS`]), so the result always replays
 /// under that config.
@@ -773,8 +721,10 @@ pub fn audit_replay_roundtrip(
 ) -> (RunResult, Vec<bw_uarch::audit::Violation>) {
     let generated = simulate(model, predictor, cfg);
     let trace = record_trace(model, cfg);
-    let replayed =
-        simulate_trace(&trace, predictor, cfg).expect("record_trace sized the trace for cfg");
+    let replayed = SimRequest::new(SimSource::Trace(&trace), predictor, cfg)
+        .run()
+        .expect("record_trace sized the trace for cfg")
+        .result;
     let mut violations = Vec::new();
     if generated.stats != replayed.stats {
         violations.push(bw_uarch::audit::Violation {

@@ -1,11 +1,9 @@
 //! Supervised execution: panic isolation, watchdog cancellation,
 //! bounded retry with backoff, and the persistent quarantine.
 //!
-//! [`Runner::run`](crate::Runner::run) treats a failing simulation as
-//! a process-level event: a panic unwinds the sweep. This module is
-//! the machinery behind
-//! [`Runner::run_supervised`](crate::Runner::run_supervised), which
-//! turns each planned run into a typed [`RunOutcome`] instead:
+//! This module is the policy behind the runner's one executor.
+//! [`Runner::run_supervised`](crate::Runner::run_supervised) turns
+//! each planned run into a typed [`RunOutcome`]:
 //!
 //! ```text
 //!             ┌───────────── quarantined? ──────────► Quarantined
@@ -28,17 +26,22 @@
 //! that keeps failing across invocations is skipped outright so one
 //! poisoned configuration cannot stall every future sweep.
 //!
+//! [`Runner::run`](crate::Runner::run) goes through the same executor
+//! under a strict policy — one attempt, no watchdog, no quarantine
+//! ledger — and re-raises the first failure as a panic once the runs
+//! already in flight have finished and been cached.
+//!
 //! Everything here is policy and bookkeeping: the worker pool stays in
 //! [`crate::runner`] (the workspace's one sanctioned threading site),
 //! and cancellation is *cooperative* — the sim loop polls a
 //! [`CancelToken`] between instruction chunks, so no thread is ever
 //! killed mid-update.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Once};
+use std::sync::Once;
 use std::time::{Duration, Instant};
 
 use crate::runner::RunKey;
@@ -64,7 +67,7 @@ pub const QUARANTINE_FORMAT_VERSION: u32 = 1;
 /// latency by the wall-clock cost of one chunk.
 #[derive(Debug)]
 pub struct CancelToken {
-    flag: Arc<AtomicBool>,
+    flag: AtomicBool,
     deadline: Option<Instant>,
 }
 
@@ -73,33 +76,24 @@ impl CancelToken {
     /// is called.
     #[must_use]
     pub fn unbounded() -> Self {
-        CancelToken {
-            flag: Arc::new(AtomicBool::new(false)),
-            deadline: None,
-        }
+        Self::deadline_after(None)
     }
 
     /// A token that cancels `timeout` from now.
     #[must_use]
     pub fn with_timeout(timeout: Duration) -> Self {
-        CancelToken {
-            flag: Arc::new(AtomicBool::new(false)),
-            deadline: Some(Instant::now() + timeout),
-        }
+        Self::deadline_after(Some(timeout))
     }
 
-    /// A token sharing an external abort flag (pool-wide cancellation)
-    /// with an optional per-attempt deadline starting now.
-    #[must_use]
-    pub(crate) fn shared(flag: Arc<AtomicBool>, timeout: Option<Duration>) -> Self {
+    /// A token with an optional deadline starting now.
+    fn deadline_after(timeout: Option<Duration>) -> Self {
         CancelToken {
-            flag,
+            flag: AtomicBool::new(false),
             deadline: timeout.map(|t| Instant::now() + t),
         }
     }
 
-    /// Requests cancellation (also cancels every token sharing this
-    /// flag).
+    /// Requests cancellation.
     pub fn cancel(&self) {
         self.flag.store(true, Ordering::Relaxed);
     }
@@ -251,7 +245,8 @@ impl std::fmt::Display for RunFailure {
 // Policy
 // ---------------------------------------------------------------------
 
-/// Supervision policy for [`Runner::run_supervised`](crate::Runner::run_supervised).
+/// Supervision policy for [`Runner::run_supervised`](crate::Runner::run_supervised);
+/// [`Runner::run`](crate::Runner::run) ignores it.
 #[derive(Clone, Debug)]
 pub struct Supervision {
     /// Per-attempt wall-clock watchdog; `None` disables the deadline.
@@ -292,126 +287,12 @@ impl Supervision {
         self.max_attempts = attempts.max(1);
         self
     }
-}
 
-// ---------------------------------------------------------------------
-// Results of a supervised plan
-// ---------------------------------------------------------------------
-
-/// The results of a supervised [`RunPlan`](crate::RunPlan) execution:
-/// the completed runs plus a typed report of everything that failed.
-pub struct SupervisedRunSet {
-    pub(crate) results: HashMap<RunKey, RunResult>,
-    pub(crate) failures: Vec<RunFailure>,
-    pub(crate) executed: usize,
-    pub(crate) cache_hits: usize,
-    pub(crate) quarantined: usize,
-    pub(crate) corrupt_evicted: usize,
-    pub(crate) retries: u32,
-    pub(crate) supervision: Supervision,
-}
-
-impl SupervisedRunSet {
-    /// Borrows the result for `key` if the run completed.
+    /// The quarantine rule: `true` when a key with `failures` recorded
+    /// failures is skipped. A threshold of 0 disables the quarantine.
     #[must_use]
-    pub fn get(&self, key: &RunKey) -> Option<&RunResult> {
-        self.results.get(key)
-    }
-
-    /// Removes and returns the result for `key` if the run completed.
-    pub fn remove(&mut self, key: &RunKey) -> Option<RunResult> {
-        self.results.remove(key)
-    }
-
-    /// Number of completed results held.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.results.len()
-    }
-
-    /// Whether no run completed.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.results.is_empty()
-    }
-
-    /// How many runs were actually simulated to completion.
-    #[must_use]
-    pub fn executed(&self) -> usize {
-        self.executed
-    }
-
-    /// How many runs were served from the cache.
-    #[must_use]
-    pub fn cache_hits(&self) -> usize {
-        self.cache_hits
-    }
-
-    /// How many planned keys were skipped by the quarantine.
-    #[must_use]
-    pub fn quarantined(&self) -> usize {
-        self.quarantined
-    }
-
-    /// How many corrupt cache entries were detected and evicted.
-    #[must_use]
-    pub fn corrupt_evicted(&self) -> usize {
-        self.corrupt_evicted
-    }
-
-    /// Total retry attempts consumed across all runs.
-    #[must_use]
-    pub fn retries(&self) -> u32 {
-        self.retries
-    }
-
-    /// Every recorded failure event (terminal failures plus recovered
-    /// cache corruptions), in plan order.
-    #[must_use]
-    pub fn failures(&self) -> &[RunFailure] {
-        &self.failures
-    }
-
-    /// `true` if anything went wrong — the sweep is usable but a
-    /// caller reporting results should surface the failure summary and
-    /// exit nonzero.
-    #[must_use]
-    pub fn is_degraded(&self) -> bool {
-        !self.failures.is_empty()
-    }
-
-    /// The policy this set was executed under.
-    #[must_use]
-    pub fn supervision(&self) -> &Supervision {
-        &self.supervision
-    }
-
-    /// A human-readable multi-line failure summary (empty string when
-    /// clean).
-    #[must_use]
-    pub fn summary(&self) -> String {
-        if self.failures.is_empty() {
-            return String::new();
-        }
-        let mut out = format!(
-            "{} of {} run(s) degraded ({} executed, {} cache hit(s), {} retried):\n",
-            self.failures.len(),
-            self.results.len()
-                + self
-                    .failures
-                    .iter()
-                    .filter(|f| f.outcome.is_terminal_failure())
-                    .count(),
-            self.executed,
-            self.cache_hits,
-            self.retries,
-        );
-        for f in &self.failures {
-            out.push_str("  FAILED ");
-            out.push_str(&f.to_string());
-            out.push('\n');
-        }
-        out
+    pub fn quarantines(&self, failures: u32) -> bool {
+        self.quarantine_after > 0 && failures >= self.quarantine_after
     }
 }
 
@@ -485,11 +366,7 @@ fn is_trace_payload(message: &str) -> bool {
 /// exhausts the attempt budget and is reported; a transient one (seen
 /// under fault injection with a bounded firing budget, or a timeout on
 /// a loaded machine) succeeds on retry.
-pub(crate) fn attempt_run<F>(
-    sup: &Supervision,
-    abort: &Arc<AtomicBool>,
-    exec: F,
-) -> (RunOutcome, u32)
+pub(crate) fn attempt_run<F>(sup: &Supervision, exec: F) -> (RunOutcome, u32)
 where
     F: Fn(&CancelToken) -> Result<RunResult, Cancelled>,
 {
@@ -497,7 +374,7 @@ where
     let mut attempts = 0u32;
     loop {
         attempts += 1;
-        let token = CancelToken::shared(Arc::clone(abort), sup.run_timeout);
+        let token = CancelToken::deadline_after(sup.run_timeout);
         let caught = {
             let _quiet = QuietGuard::engage();
             catch_unwind(AssertUnwindSafe(|| exec(&token)))
@@ -517,7 +394,7 @@ where
                 }
             }
         };
-        if attempts >= sup.max_attempts || abort.load(Ordering::Relaxed) {
+        if attempts >= sup.max_attempts {
             return (outcome, attempts - 1);
         }
         std::thread::sleep(sup.backoff.saturating_mul(attempts));
@@ -567,9 +444,13 @@ impl Quarantine {
         }
     }
 
-    /// The entry for a key digest, if any failures are on record.
-    pub(crate) fn entry(&self, digest: u64) -> Option<&QuarantineEntry> {
-        self.entries.get(&digest)
+    /// The entry for `key`, if any failures are on record. An empty
+    /// ledger (the common case) answers without hashing the key.
+    pub(crate) fn entry(&self, key: &RunKey) -> Option<&QuarantineEntry> {
+        if self.entries.is_empty() {
+            return None;
+        }
+        self.entries.get(&key.digest())
     }
 
     /// Records one failure for `key`.
@@ -691,41 +572,27 @@ impl Quarantine {
 ///
 /// Services fronting the runner (the `bw-server` daemon) use this at
 /// admission time: a key whose recorded failures have crossed the
-/// supervision threshold is refused fast with a typed error instead of
-/// rediscovering the failure per request. Like the supervised runner's
+/// supervision threshold ([`Supervision::quarantines`]) is refused fast
+/// with a typed error instead of rediscovering the failure per request. Like the supervised runner's
 /// own load, a missing or malformed ledger is an empty view; without
 /// the `serde` feature the view is always empty (nothing persists the
 /// ledger either).
-pub struct QuarantineView {
-    entries: BTreeMap<u64, (u32, String)>,
-}
+pub struct QuarantineView(Quarantine);
 
 impl QuarantineView {
     /// Loads the ledger stored beside the cache rooted at `cache_dir`.
     #[must_use]
     pub fn load(cache_dir: &std::path::Path) -> Self {
-        let q = Quarantine::load(cache_dir.join(QUARANTINE_FILE));
-        QuarantineView {
-            entries: q
-                .entries
-                .iter()
-                .map(|(&d, e)| (d, (e.failures, e.last_error.clone())))
-                .collect(),
-        }
+        QuarantineView(Quarantine::load(cache_dir.join(QUARANTINE_FILE)))
     }
 
     /// Recorded failures for a key digest: `(count, last error)`.
     #[must_use]
     pub fn failures(&self, digest: u64) -> Option<(u32, &str)> {
-        self.entries.get(&digest).map(|(n, e)| (*n, e.as_str()))
-    }
-
-    /// `true` when `digest` has at least `threshold` recorded failures
-    /// — the same admission rule the supervised runner applies via
-    /// [`Supervision::quarantine_after`].
-    #[must_use]
-    pub fn is_quarantined(&self, digest: u64, threshold: u32) -> bool {
-        self.failures(digest).is_some_and(|(n, _)| n >= threshold)
+        self.0
+            .entries
+            .get(&digest)
+            .map(|e| (e.failures, e.last_error.as_str()))
     }
 }
 
@@ -733,7 +600,7 @@ impl QuarantineView {
 // Supervision invariants (audit feature)
 // ---------------------------------------------------------------------
 
-/// Audit invariants over a completed supervised execution: every
+/// Audit invariants over a completed plan execution: every
 /// planned run is accounted for exactly once, terminally failed runs
 /// carry no result, recovered corruptions carry one, and the
 /// bookkeeping counters add up.
@@ -741,10 +608,7 @@ impl QuarantineView {
 /// Violations mean a supervisor bug, never a simulation bug.
 #[cfg(feature = "audit")]
 #[must_use]
-pub fn supervision_violations(
-    plan: &crate::RunPlan,
-    set: &SupervisedRunSet,
-) -> Vec<crate::Violation> {
+pub fn supervision_violations(plan: &crate::RunPlan, set: &crate::RunSet) -> Vec<crate::Violation> {
     let mut violations = Vec::new();
     let mut report = |invariant: &'static str, benchmark: String, detail: String| {
         violations.push(crate::Violation {
@@ -853,8 +717,7 @@ mod tests {
             backoff: Duration::ZERO,
             ..Supervision::default()
         };
-        let abort = Arc::new(AtomicBool::new(false));
-        let (outcome, retries) = attempt_run(&sup, &abort, |_| panic!("deliberate test panic"));
+        let (outcome, retries) = attempt_run(&sup, |_| panic!("deliberate test panic"));
         match outcome {
             RunOutcome::Panicked { message, attempts } => {
                 assert_eq!(attempts, 3);
@@ -871,8 +734,7 @@ mod tests {
             max_attempts: 1,
             ..Supervision::default()
         };
-        let abort = Arc::new(AtomicBool::new(false));
-        let (outcome, _) = attempt_run(&sup, &abort, |_| {
+        let (outcome, _) = attempt_run(&sup, |_| {
             panic!("trace 'gzip-quick' exhausted after 42 instructions; record a longer trace")
         });
         assert!(
@@ -889,8 +751,7 @@ mod tests {
             backoff: Duration::ZERO,
             ..Supervision::default()
         };
-        let abort = Arc::new(AtomicBool::new(false));
-        let (outcome, retries) = attempt_run(&sup, &abort, |token| {
+        let (outcome, retries) = attempt_run(&sup, |token| {
             assert!(!token.is_cancelled(), "fresh token starts clean");
             Err(Cancelled)
         });
@@ -915,17 +776,38 @@ mod tests {
             &crate::SimConfig::quick(1),
         );
         let mut q = Quarantine::ephemeral();
-        assert!(q.entry(key.digest()).is_none());
+        assert!(q.entry(&key).is_none());
         let outcome = RunOutcome::Panicked {
             message: "boom".into(),
             attempts: 2,
         };
         q.record_failure(&key, &outcome);
         q.record_failure(&key, &outcome);
-        let e = q.entry(key.digest()).expect("recorded");
+        let e = q.entry(&key).expect("recorded");
         assert_eq!(e.failures, 2);
         assert!(e.last_error.contains("boom"));
         assert_eq!(q.len(), 1);
+    }
+
+    #[test]
+    fn quarantine_rule_honours_the_threshold() {
+        let off = Supervision {
+            quarantine_after: 0,
+            ..Supervision::default()
+        };
+        assert!(!off.quarantines(0));
+        assert!(
+            !off.quarantines(u32::MAX),
+            "threshold 0 disables the quarantine"
+        );
+        let on = Supervision {
+            quarantine_after: 3,
+            ..Supervision::default()
+        };
+        assert!(!on.quarantines(0));
+        assert!(!on.quarantines(2));
+        assert!(on.quarantines(3));
+        assert!(on.quarantines(4));
     }
 
     #[test]

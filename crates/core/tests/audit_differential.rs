@@ -11,7 +11,7 @@
 #![cfg(feature = "audit")]
 
 use bw_core::workload::benchmark;
-use bw_core::{simulate, simulate_audited, SimConfig};
+use bw_core::{simulate, SimConfig, SimRequest, SimSource};
 use bw_predictors::PredictorConfig;
 use proptest::prelude::*;
 
@@ -34,7 +34,11 @@ proptest! {
         let predictor = PredictorConfig::bimodal(1u64 << log_entries);
 
         let plain = simulate(model, predictor, &cfg);
-        let (audited, violations) = simulate_audited(model, predictor, &cfg);
+        let out = SimRequest::new(SimSource::Model(model), predictor, &cfg)
+            .audited()
+            .run()
+            .expect("an uncancellable generated run cannot fail");
+        let (audited, violations) = (out.result, out.violations);
 
         prop_assert!(
             violations.is_empty(),

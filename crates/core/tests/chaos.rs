@@ -163,9 +163,10 @@ fn injected_trace_truncation_becomes_trace_error() {
 }
 
 /// The strict (unsupervised) parallel runner still honours its
-/// documented contract — a worker panic propagates — but completed
-/// sibling results are drained into the cache first, so the work is
-/// not lost.
+/// documented contract — a worker panic propagates with its original
+/// message — but completed sibling results are drained into the cache
+/// first, so the work is not lost, and no quarantine ledger is
+/// written.
 #[test]
 fn strict_run_drains_completed_results_before_panicking() {
     let _gate = serial();
@@ -181,7 +182,22 @@ fn strict_run_drains_completed_results_before_panicking() {
     let outcome =
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| runner.run(&plan, |_| {})));
     std::panic::set_hook(hook);
-    assert!(outcome.is_err(), "strict mode must propagate the panic");
+    let Err(payload) = outcome else {
+        panic!("strict mode must propagate the panic");
+    };
+    let message = payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied())
+        .unwrap_or_default();
+    assert!(
+        message.contains(bw_fault::PANIC_MARKER),
+        "the re-raised panic must carry the original message: {message:?}"
+    );
+    assert!(
+        !dir.join(QUARANTINE_FILE).exists(),
+        "strict mode neither reads nor writes the quarantine ledger"
+    );
 
     bw_fault::disarm();
     let cache = RunCache::new(dir.clone());

@@ -1,8 +1,8 @@
 //! Differential tests for supervised execution: on healthy plans,
 //! `Runner::run_supervised` must be observationally identical to
-//! `Runner::run` (same results, same cache behaviour), and on failing
-//! plans it must degrade into typed [`RunOutcome`] records instead of
-//! unwinding.
+//! `Runner::run` (same results, same cache behaviour, cold and warm),
+//! and on failing plans it must degrade into typed [`RunOutcome`]
+//! records instead of unwinding.
 //!
 //! Fault-injection differentials live in `chaos.rs`; cache-damage
 //! properties live in `cache_robustness.rs`.
@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use bw_core::workload::benchmark;
 use bw_core::zoo::NamedPredictor;
-use bw_core::{RunOutcome, RunPlan, Runner, SimConfig, Supervision};
+use bw_core::{RunCache, RunOutcome, RunPlan, Runner, SimConfig, Supervision};
 
 fn tiny_cfg(seed: u64) -> SimConfig {
     SimConfig::builder()
@@ -55,6 +55,11 @@ fn healthy_supervised_matches_strict_run() {
     assert_eq!(supervised.executed(), plan.len());
     assert_eq!(supervised.cache_hits(), 0);
     assert_eq!(supervised.retries(), 0);
+    assert!(strict.failures().is_empty(), "{}", strict.summary());
+    assert_eq!(
+        (strict.executed(), strict.cache_hits()),
+        (supervised.executed(), supervised.cache_hits())
+    );
     for key in &keys {
         let a = strict.get(key).expect("strict result");
         let b = supervised.get(key).expect("supervised result");
@@ -65,6 +70,42 @@ fn healthy_supervised_matches_strict_run() {
             "supervision must be pure bookkeeping around the same simulation"
         );
     }
+
+    // Warm-cache second pass: over one populated cache, both methods
+    // count executions and hits the same way and serve the same bytes.
+    let dir = std::env::temp_dir().join(format!("bw-supervise-parity-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cached = Runner::serial().cached(RunCache::new(dir.clone()));
+    cached.run(&plan, |_| {});
+    let strict_warm = cached.run(&plan, |_| {});
+    let supervised_warm = cached.run_supervised(&plan, |_| {});
+    assert!(
+        !supervised_warm.is_degraded(),
+        "{}",
+        supervised_warm.summary()
+    );
+    assert!(strict_warm.failures().is_empty());
+    assert_eq!(
+        (strict_warm.executed(), strict_warm.cache_hits()),
+        (supervised_warm.executed(), supervised_warm.cache_hits())
+    );
+    #[cfg(feature = "serde")]
+    assert_eq!(
+        (strict_warm.executed(), strict_warm.cache_hits()),
+        (0, plan.len()),
+        "the second pass is served entirely from the cache"
+    );
+    for key in &keys {
+        assert_eq!(
+            format!("{:?}", strict.get(key).unwrap()),
+            format!("{:?}", strict_warm.get(key).unwrap()),
+        );
+        assert_eq!(
+            format!("{:?}", strict_warm.get(key).unwrap()),
+            format!("{:?}", supervised_warm.get(key).unwrap()),
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The worker pool path reports through the same bookkeeping: a
@@ -140,7 +181,7 @@ mod persistent {
     use super::*;
     use std::path::PathBuf;
 
-    use bw_core::{RunCache, QUARANTINE_FILE};
+    use bw_core::QUARANTINE_FILE;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("bw-supervise-{tag}-{}", std::process::id()));

@@ -3,9 +3,20 @@
 
 use bw_core::zoo::NamedPredictor;
 use bw_core::{
-    check_trace_budget, record_trace, simulate, simulate_trace, RunPlan, SimConfig, TraceRunError,
+    check_trace_budget, record_trace, simulate, RunPlan, RunResult, SimConfig, SimError,
+    SimRequest, SimSource, TraceRunError,
 };
 use bw_workload::benchmark;
+
+fn simulate_trace(
+    trace: &bw_core::trace::Trace,
+    predictor: bw_core::predictors::PredictorConfig,
+    cfg: &SimConfig,
+) -> Result<RunResult, SimError> {
+    SimRequest::new(SimSource::Trace(trace), predictor, cfg)
+        .run()
+        .map(|out| out.result)
+}
 
 /// Recording gzip and replaying it yields byte-identical `SimStats`
 /// (and identical energy accounting) to generating the workload live —
@@ -68,7 +79,7 @@ fn replay_matches_generated_run_all_benchmarks() {
 }
 
 /// A short recording is rejected up front with a budget error, both by
-/// `simulate_trace` and at plan time.
+/// a trace request and at plan time.
 #[test]
 fn short_trace_is_rejected_before_simulation() {
     let quick = SimConfig::quick(3);
@@ -80,7 +91,10 @@ fn short_trace_is_rejected_before_simulation() {
     let TraceRunError::BudgetExceedsTrace { needed, available } = err;
     assert!(needed > available);
     assert_eq!(available, trace.meta().insts);
-    assert!(simulate_trace(&trace, NamedPredictor::Bim4k.config(), &paper).is_err());
+    assert_eq!(
+        simulate_trace(&trace, NamedPredictor::Bim4k.config(), &paper).unwrap_err(),
+        SimError::Trace(err)
+    );
 
     let mut plan = RunPlan::new();
     assert!(plan

@@ -16,9 +16,10 @@
 //! bytes at seed-derived offsets. Two processes armed with the same
 //! plan inject exactly the same faults.
 //!
-//! The crate is dependency-free and always compiles; arming a plan in
-//! a build whose consumers lack their `fault-inject` features simply
-//! injects nothing (no sites consult it).
+//! The crate depends only on `bw-types` (for the shared FNV-1a hash)
+//! and always compiles; arming a plan in a build whose consumers lack
+//! their `fault-inject` features simply injects nothing (no sites
+//! consult it).
 //!
 //! # Examples
 //!
@@ -41,6 +42,8 @@ use std::cell::RefCell;
 use std::path::Path;
 use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
+
+use bw_types::fnv1a;
 
 /// Substring embedded in every injected-panic payload, so supervisors
 /// (and humans reading logs) can tell induced chaos from real bugs.
@@ -455,17 +458,6 @@ pub fn injected_kill(site_id: &str) -> bool {
 #[must_use]
 pub fn injected_cache_evict(site_id: &str) -> bool {
     fire(site_id, |k| matches!(k, FaultKind::EvictCache)).is_some()
-}
-
-/// FNV-1a — the repo's stable non-cryptographic hash, duplicated here
-/// so the harness stays dependency-free.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Deterministically corrupts the file at `path`: even seeds flip a

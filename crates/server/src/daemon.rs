@@ -656,7 +656,7 @@ fn admit_cells(
     // The ledger is advisory (a snapshot is fine), so it is read before
     // taking the lock; the cache probe is not, so it happens inside.
     let quarantine = shared.cfg.cache_dir.as_deref().map(QuarantineView::load);
-    let threshold = shared.cfg.supervision.quarantine_after;
+    let sup = &shared.cfg.supervision;
     let cache = shared.cfg.cache_dir.clone().map(RunCache::new);
 
     let mut admitted_new_work = false;
@@ -674,15 +674,16 @@ fn admit_cells(
             }
         };
         let digest = cell.key.digest();
-        if threshold > 0 {
-            if let Some((n, last)) = quarantine.as_ref().and_then(|q| q.failures(digest)) {
-                if n >= threshold {
-                    refuse(
-                        RefuseReason::Quarantined,
-                        format!("{n} recorded failures (threshold {threshold}); last: {last}"),
-                    );
-                    continue;
-                }
+        if let Some((n, last)) = quarantine.as_ref().and_then(|q| q.failures(digest)) {
+            if sup.quarantines(n) {
+                refuse(
+                    RefuseReason::Quarantined,
+                    format!(
+                        "{n} recorded failures (threshold {}); last: {last}",
+                        sup.quarantine_after
+                    ),
+                );
+                continue;
             }
         }
         if let Some(flight) = sched.flights.get_mut(&digest) {

@@ -40,3 +40,28 @@ pub type Cycle = u64;
 /// instruction (correct-path or wrong-path) receives a fresh `Seq`, and
 /// squashing discards all entries younger than the mispredicted branch.
 pub type Seq = u64;
+
+/// FNV-1a (64-bit), the workspace's one stable non-cryptographic
+/// content hash. Trace digests, cache keys and checksums, and journal
+/// lines are persisted with it, so its output must never change.
+#[must_use]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+#[cfg(test)]
+mod tests {
+    use super::fnv1a;
+
+    #[test]
+    fn fnv1a_is_stable() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_ne!(fnv1a(b"a"), fnv1a(b"b"));
+    }
+}

@@ -22,7 +22,7 @@ use branchwatt::power::PpdScenario;
 use branchwatt::uarch::UarchConfig;
 use branchwatt::workload::{benchmark, specint7, BenchmarkModel};
 use branchwatt::zoo::NamedPredictor;
-use branchwatt::{record_trace, RunResult, SimConfig};
+use branchwatt::{record_trace, RunResult, SimConfig, SimRequest, SimSource};
 
 /// How one golden cell gets its instruction stream.
 #[derive(Clone, Copy)]
@@ -142,35 +142,27 @@ fn cells() -> Vec<Cell> {
     cells
 }
 
-#[cfg(not(feature = "audit"))]
 fn run(cell: &Cell) -> RunResult {
     let pred = cell.predictor.config();
-    match cell.source {
-        Source::Generated => branchwatt::simulate(cell.model, pred, &cell.cfg),
+    let trace;
+    let request = match cell.source {
+        Source::Generated => SimRequest::new(SimSource::Model(cell.model), pred, &cell.cfg),
         Source::Replayed => {
-            let trace = record_trace(cell.model, &cell.cfg);
-            branchwatt::simulate_trace(&trace, pred, &cell.cfg).expect("trace sized for cfg")
-        }
-    }
-}
-
-#[cfg(feature = "audit")]
-fn run(cell: &Cell) -> RunResult {
-    let pred = cell.predictor.config();
-    let (result, violations) = match cell.source {
-        Source::Generated => branchwatt::simulate_audited(cell.model, pred, &cell.cfg),
-        Source::Replayed => {
-            let trace = record_trace(cell.model, &cell.cfg);
-            branchwatt::simulate_trace_audited(&trace, pred, &cell.cfg)
-                .expect("trace sized for cfg")
+            trace = record_trace(cell.model, &cell.cfg);
+            SimRequest::new(SimSource::Trace(&trace), pred, &cell.cfg)
         }
     };
+    #[cfg(feature = "audit")]
+    let request = request.audited();
+    let output = request.run().expect("trace sized for cfg");
+    #[cfg(feature = "audit")]
     assert!(
-        violations.is_empty(),
-        "{}: audit violations {violations:?}",
-        cell.label
+        output.violations.is_empty(),
+        "{}: audit violations {:?}",
+        cell.label,
+        output.violations
     );
-    result
+    output.result
 }
 
 /// FNV-1a over the result's `Debug` rendering, which covers every
