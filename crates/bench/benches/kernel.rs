@@ -11,7 +11,8 @@
 //! stay fast. `BW_BENCH_QUICK=1` shrinks budgets and sample counts for
 //! CI smoke runs.
 
-use std::path::Path;
+mod common;
+
 use std::time::Instant;
 
 /// The PR this tree corresponds to; stamped into `BENCH_kernel.json`
@@ -21,9 +22,10 @@ const PR: u32 = 14;
 use bw_arrays::{ModelKind, TechParams};
 use bw_core::trace::{DecodedTrace, Trace, TraceReader};
 use bw_core::zoo::NamedPredictor;
-use bw_core::{fsutil, record_trace, RunPlan, Runner, SimConfig};
+use bw_core::{record_trace, RunPlan, Runner, SimConfig};
 use bw_uarch::{Machine, SimStats, UarchConfig};
 use bw_workload::benchmark;
+use common::Field::{Bool, Int, Num, Obj, Str};
 
 /// Cycles the detailed-phase cell (gzip × Gsh_1_16k_12 at
 /// `SimConfig::quick(1)`) takes. The count is exact: a different value
@@ -154,101 +156,15 @@ fn detailed_run(samples: u32) -> (f64, SimStats) {
     })
 }
 
-/// One cross-PR history row: the replay-kernel ns/inst pair measured
-/// at a given PR (full mode only, so rows stay comparable), plus the
-/// detailed-phase (ns/inst, ns/cycle) pair from the PR that added it on.
-#[derive(Clone, Copy)]
-struct HistoryRow {
-    pr: u32,
-    scalar: f64,
-    batched: f64,
-    detailed: Option<(f64, f64)>,
-}
-
-/// Extracts a numeric field from a flat JSON object fragment. The
-/// bench both writes and reads this file with the same hand-rolled
-/// format, so a substring scan is exact for our own output.
-fn field_num(obj: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = obj.find(&pat)? + pat.len();
-    let rest = obj[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Loads the history array from a previously written
-/// `BENCH_kernel.json`. Files from before history tracking carry no
-/// array; their top-level replay numbers become the seed row (that
-/// file was written at PR 5, where the batched kernel landed).
-fn load_history(prev: &str) -> Vec<HistoryRow> {
-    let mut rows = Vec::new();
-    if let Some(start) = prev.find("\"history\": [") {
-        let body = &prev[start..];
-        let end = body.find(']').unwrap_or(body.len());
-        for obj in body[..end].split('{').skip(1) {
-            if let (Some(pr), Some(scalar), Some(batched)) = (
-                field_num(obj, "pr"),
-                field_num(obj, "scalar_ns_per_inst"),
-                field_num(obj, "batched_ns_per_inst"),
-            ) {
-                let detailed = field_num(obj, "detailed_ns_per_inst")
-                    .zip(field_num(obj, "detailed_ns_per_cycle"));
-                rows.push(HistoryRow {
-                    pr: pr as u32,
-                    scalar,
-                    batched,
-                    detailed,
-                });
-            }
-        }
-    } else if let Some(replay) = prev.find("\"replay\"") {
-        let body = &prev[replay..];
-        if let (Some(scalar), Some(batched)) = (
-            field_num(body, "scalar_ns_per_inst"),
-            field_num(body, "batched_ns_per_inst"),
-        ) {
-            rows.push(HistoryRow {
-                pr: 5,
-                scalar,
-                batched,
-                detailed: None,
-            });
-        }
-    }
-    rows
-}
-
-/// Appends (or, on a re-run of the same PR, replaces) this tree's row.
-/// Quick-mode numbers are not comparable across PRs and never enter
-/// the history.
-fn update_history(mut rows: Vec<HistoryRow>, mode: &str, row: HistoryRow) -> Vec<HistoryRow> {
-    if mode == "full" {
-        rows.retain(|r| r.pr != row.pr);
-        rows.push(row);
-    }
-    rows.sort_by_key(|r| r.pr);
-    rows
-}
-
-fn history_json(rows: &[HistoryRow]) -> String {
-    let body: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            let detailed = r.detailed.map_or(String::new(), |(inst, cycle)| {
-                format!(
-                    ", \"detailed_ns_per_inst\": {inst:.2}, \"detailed_ns_per_cycle\": {cycle:.2}"
-                )
-            });
-            format!(
-                "    {{ \"pr\": {}, \"scalar_ns_per_inst\": {:.2}, \"batched_ns_per_inst\": {:.2}{detailed} }}",
-                r.pr, r.scalar, r.batched
-            )
-        })
-        .collect();
-    format!("[\n{}\n  ]", body.join(",\n"))
-}
+/// The cross-PR history columns: the replay-kernel ns/inst pair
+/// (full mode only, so rows stay comparable), plus the detailed-phase
+/// (ns/inst, ns/cycle) pair from the PR that added it on.
+const HISTORY: &[(&str, usize)] = &[
+    ("scalar_ns_per_inst", 2),
+    ("batched_ns_per_inst", 2),
+    ("detailed_ns_per_inst", 2),
+    ("detailed_ns_per_cycle", 2),
+];
 
 fn main() {
     if !std::env::args().any(|a| a == "--bench") {
@@ -361,57 +277,55 @@ fn main() {
         per_cell(supervised_ns)
     );
 
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/bench sits two levels below the repo root")
-        .to_path_buf();
-    let path = root.join("BENCH_kernel.json");
-
-    // Cross-PR history: carry forward rows from the previous report
-    // (or seed from its top-level numbers) and append this run's.
-    let prev = std::fs::read_to_string(&path).unwrap_or_default();
-    let history = update_history(
-        load_history(&prev),
+    let path = common::repo_root().join("BENCH_kernel.json");
+    let mut history = common::History::load(&path, HISTORY);
+    history.record(
         budget.mode,
-        HistoryRow {
-            pr: PR,
-            scalar: per(scalar_ns),
-            batched: per(batched_ns),
-            detailed: Some((detailed_per_inst, detailed_per_cycle)),
-        },
+        PR,
+        &[
+            per(scalar_ns),
+            per(batched_ns),
+            detailed_per_inst,
+            detailed_per_cycle,
+        ],
     );
-
-    let json = format!(
-        "{{\n  \"bench\": \"kernel\",\n  \"pr\": {pr},\n  \"mode\": \"{mode}\",\n  \
-         \"workload\": \"gzip\",\n  \
-         \"predictor\": \"{pred}\",\n  \"warm_insts\": {warm},\n  \"measure_insts\": {measure},\n  \
-         \"trace_insts\": {trace_insts},\n  \"decoded_bytes\": {decoded_bytes},\n  \"replay\": {{\n    \
-         \"scalar_ns_per_inst\": {scalar:.2},\n    \"batched_ns_per_inst\": {batched:.2},\n    \
-         \"speedup\": {speedup:.3},\n    \"decode_ms_one_time\": {decode_ms:.3},\n    \
-         \"batch_identical\": {batch_identical},\n    \"audit_clean\": {audit_clean}\n  }},\n  \
-         \"detailed\": {{\n    \"workload\": \"gzip\",\n    \"budget\": \"quick\",\n    \
-         \"insts\": {detailed_insts},\n    \"cycles\": {detailed_cycles},\n    \
-         \"ns_per_inst\": {detailed_per_inst:.2},\n    \"ns_per_cycle\": {detailed_per_cycle:.2}\n  }},\n  \
-         \"one_cell\": {{\n    \"strict_ns_per_inst\": {strict:.2},\n    \
-         \"supervised_ns_per_inst\": {supervised:.2}\n  }},\n  \
-         \"history\": {history}\n}}\n",
-        pr = PR,
-        mode = budget.mode,
-        pred = NamedPredictor::Gshare16k12.label(),
-        warm = budget.warm_insts,
-        measure = budget.measure_insts,
-        trace_insts = trace.meta().insts,
-        decoded_bytes = decoded.decoded_bytes(),
-        scalar = per(scalar_ns),
-        batched = per(batched_ns),
-        decode_ms = decode_ns / 1e6,
-        detailed_insts = detailed_stats.committed,
-        detailed_cycles = detailed_stats.cycles,
-        strict = per_cell(strict_ns),
-        supervised = per_cell(supervised_ns),
-        history = history_json(&history),
+    let replay = vec![
+        ("scalar_ns_per_inst", Num(per(scalar_ns), 2)),
+        ("batched_ns_per_inst", Num(per(batched_ns), 2)),
+        ("speedup", Num(speedup, 3)),
+        ("decode_ms_one_time", Num(decode_ns / 1e6, 3)),
+        ("batch_identical", Bool(batch_identical)),
+        ("audit_clean", Bool(audit_clean)),
+    ];
+    let detailed = vec![
+        ("workload", Str("gzip".into())),
+        ("budget", Str("quick".into())),
+        ("insts", Int(detailed_stats.committed)),
+        ("cycles", Int(detailed_stats.cycles)),
+        ("ns_per_inst", Num(detailed_per_inst, 2)),
+        ("ns_per_cycle", Num(detailed_per_cycle, 2)),
+    ];
+    let one_cell = vec![
+        ("strict_ns_per_inst", Num(per_cell(strict_ns), 2)),
+        ("supervised_ns_per_inst", Num(per_cell(supervised_ns), 2)),
+    ];
+    common::write_report(
+        &path,
+        vec![
+            ("bench", Str("kernel".into())),
+            ("pr", Int(PR.into())),
+            ("mode", Str(budget.mode.into())),
+            ("workload", Str("gzip".into())),
+            ("predictor", Str(NamedPredictor::Gshare16k12.label().into())),
+            ("warm_insts", Int(budget.warm_insts)),
+            ("measure_insts", Int(budget.measure_insts)),
+            ("trace_insts", Int(trace.meta().insts)),
+            ("decoded_bytes", Int(decoded.decoded_bytes() as u64)),
+            ("replay", Obj(replay)),
+            ("detailed", Obj(detailed)),
+            ("one_cell", Obj(one_cell)),
+        ],
+        &history,
     );
-    fsutil::atomic_write(&path, json.as_bytes()).expect("write BENCH_kernel.json");
     println!("kernel: wrote {}", path.display());
 }

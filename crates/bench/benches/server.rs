@@ -15,15 +15,16 @@
 //! stay fast. `BW_BENCH_QUICK=1` shrinks budgets and sample counts for
 //! CI smoke runs.
 
-use std::path::Path;
+mod common;
+
 use std::time::Instant;
 
 /// The PR this tree corresponds to; stamped into `BENCH_server.json`
 /// and its cross-PR history so regressions are attributable.
 const PR: u32 = 10;
 
-use bw_core::fsutil;
 use bw_server::{CellSpec, CellStatus, Client, Journal, JournalRecord, Server, ServerConfig};
+use common::Field::{Int, Num, Str};
 
 struct Budget {
     mode: &'static str,
@@ -106,80 +107,13 @@ fn drive(addr: &str, specs: &[CellSpec], clients: u32, reqs: u32) -> f64 {
     t.elapsed().as_nanos() as f64
 }
 
-/// One cross-PR history row: daemon throughput measured at a given PR
-/// (full mode only, so rows stay comparable).
-#[derive(Clone, Copy)]
-struct HistoryRow {
-    pr: u32,
-    cold_cells_per_s: f64,
-    warm_req_per_s: f64,
-}
+/// The cross-PR history columns of `BENCH_server.json`: daemon
+/// throughput (full mode only, so rows stay comparable).
+const SERVER_HISTORY: &[(&str, usize)] = &[("cold_cells_per_s", 1), ("warm_req_per_s", 1)];
 
-/// Extracts a numeric field from a flat JSON object fragment. The
-/// bench both writes and reads this file with the same hand-rolled
-/// format, so a substring scan is exact for our own output.
-fn field_num(obj: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = obj.find(&pat)? + pat.len();
-    let rest = obj[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Loads the history array from a previously written
-/// `BENCH_server.json`.
-fn load_history(prev: &str) -> Vec<HistoryRow> {
-    let mut rows = Vec::new();
-    if let Some(start) = prev.find("\"history\": [") {
-        let body = &prev[start..];
-        let end = body.find(']').unwrap_or(body.len());
-        for obj in body[..end].split('{').skip(1) {
-            if let (Some(pr), Some(cold), Some(warm)) = (
-                field_num(obj, "pr"),
-                field_num(obj, "cold_cells_per_s"),
-                field_num(obj, "warm_req_per_s"),
-            ) {
-                rows.push(HistoryRow {
-                    pr: pr as u32,
-                    cold_cells_per_s: cold,
-                    warm_req_per_s: warm,
-                });
-            }
-        }
-    }
-    rows
-}
-
-/// Appends (or, on a re-run of the same PR, replaces) this tree's row.
-/// Quick-mode numbers are not comparable across PRs and never enter
-/// the history.
-fn update_history(mut rows: Vec<HistoryRow>, mode: &str, cold: f64, warm: f64) -> Vec<HistoryRow> {
-    if mode == "full" {
-        rows.retain(|r| r.pr != PR);
-        rows.push(HistoryRow {
-            pr: PR,
-            cold_cells_per_s: cold,
-            warm_req_per_s: warm,
-        });
-    }
-    rows.sort_by_key(|r| r.pr);
-    rows
-}
-
-fn history_json(rows: &[HistoryRow]) -> String {
-    let body: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{ \"pr\": {}, \"cold_cells_per_s\": {:.1}, \"warm_req_per_s\": {:.1} }}",
-                r.pr, r.cold_cells_per_s, r.warm_req_per_s
-            )
-        })
-        .collect();
-    format!("[\n{}\n  ]", body.join(",\n"))
-}
+/// The cross-PR history columns of `BENCH_daemon_recovery.json`.
+const RECOVERY_HISTORY: &[(&str, usize)] =
+    &[("recovered_cells_per_s", 1), ("resume_latency_ms", 2)];
 
 /// Kill-and-resume phase: a fresh daemon takes a sweep, dies mid-way,
 /// and a relaunch over the same cache finishes it for a resuming
@@ -254,50 +188,6 @@ fn recovery_phase(budget: &Budget) -> (f64, f64, u64) {
     (recovered_cells_per_s, resume_latency_ms, executed_before)
 }
 
-/// One cross-PR history row for the recovery file.
-#[derive(Clone, Copy)]
-struct RecoveryRow {
-    pr: u32,
-    recovered_cells_per_s: f64,
-    resume_latency_ms: f64,
-}
-
-fn load_recovery_history(prev: &str) -> Vec<RecoveryRow> {
-    let mut rows = Vec::new();
-    if let Some(start) = prev.find("\"history\": [") {
-        let body = &prev[start..];
-        let end = body.find(']').unwrap_or(body.len());
-        for obj in body[..end].split('{').skip(1) {
-            if let (Some(pr), Some(rate), Some(latency)) = (
-                field_num(obj, "pr"),
-                field_num(obj, "recovered_cells_per_s"),
-                field_num(obj, "resume_latency_ms"),
-            ) {
-                rows.push(RecoveryRow {
-                    pr: pr as u32,
-                    recovered_cells_per_s: rate,
-                    resume_latency_ms: latency,
-                });
-            }
-        }
-    }
-    rows
-}
-
-fn recovery_history_json(rows: &[RecoveryRow]) -> String {
-    let body: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{ \"pr\": {}, \"recovered_cells_per_s\": {:.1}, \
-                 \"resume_latency_ms\": {:.2} }}",
-                r.pr, r.recovered_cells_per_s, r.resume_latency_ms
-            )
-        })
-        .collect();
-    format!("[\n{}\n  ]", body.join(",\n"))
-}
-
 fn main() {
     if !std::env::args().any(|a| a == "--bench") {
         println!("server: skipped (run via `cargo bench` to measure)");
@@ -360,38 +250,26 @@ fn main() {
     server.shutdown();
     let _ = std::fs::remove_dir_all(&cache_dir);
 
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/bench sits two levels below the repo root")
-        .to_path_buf();
-    let path = root.join("BENCH_server.json");
-    let prev = std::fs::read_to_string(&path).unwrap_or_default();
-    let history = update_history(
-        load_history(&prev),
-        budget.mode,
-        cold_cells_per_s,
-        warm_at_4,
+    let path = common::repo_root().join("BENCH_server.json");
+    let mut history = common::History::load(&path, SERVER_HISTORY);
+    history.record(budget.mode, PR, &[cold_cells_per_s, warm_at_4]);
+    common::write_report(
+        &path,
+        vec![
+            ("bench", Str("server".into())),
+            ("pr", Int(PR.into())),
+            ("mode", Str(budget.mode.into())),
+            ("workload", Str("gzip".into())),
+            ("predictor", Str("Bim_4k".into())),
+            ("warm_insts", Int(budget.warm_insts)),
+            ("measure_insts", Int(budget.measure_insts)),
+            ("cold_cells", Int(budget.cold_cells)),
+            ("warm_reqs_per_client", Int(budget.warm_reqs.into())),
+            ("cold_cells_per_s", Num(cold_cells_per_s, 1)),
+            ("warm_req_per_s_x4", Num(warm_at_4, 1)),
+        ],
+        &history,
     );
-
-    let json = format!(
-        "{{\n  \"bench\": \"server\",\n  \"pr\": {pr},\n  \"mode\": \"{mode}\",\n  \
-         \"workload\": \"gzip\",\n  \"predictor\": \"Bim_4k\",\n  \
-         \"warm_insts\": {warm},\n  \"measure_insts\": {measure},\n  \
-         \"cold_cells\": {cells},\n  \"warm_reqs_per_client\": {reqs},\n  \
-         \"cold_cells_per_s\": {cold:.1},\n  \"warm_req_per_s_x4\": {warm4:.1},\n  \
-         \"history\": {history}\n}}\n",
-        pr = PR,
-        mode = budget.mode,
-        warm = budget.warm_insts,
-        measure = budget.measure_insts,
-        cells = budget.cold_cells,
-        reqs = budget.warm_reqs,
-        cold = cold_cells_per_s,
-        warm4 = warm_at_4,
-        history = history_json(&history),
-    );
-    fsutil::atomic_write(&path, json.as_bytes()).expect("write BENCH_server.json");
     println!("server: wrote {}", path.display());
 
     // Durability phase: kill a daemon mid-sweep, relaunch it over the
@@ -403,33 +281,23 @@ fn main() {
         budget.recovery_cells
     );
 
-    let recovery_path = root.join("BENCH_daemon_recovery.json");
-    let prev = std::fs::read_to_string(&recovery_path).unwrap_or_default();
-    let mut rows = load_recovery_history(&prev);
-    if budget.mode == "full" {
-        rows.retain(|r| r.pr != PR);
-        rows.push(RecoveryRow {
-            pr: PR,
-            recovered_cells_per_s,
-            resume_latency_ms,
-        });
-    }
-    rows.sort_by_key(|r| r.pr);
-    let json = format!(
-        "{{\n  \"bench\": \"daemon_recovery\",\n  \"pr\": {pr},\n  \"mode\": \"{mode}\",\n  \
-         \"workload\": \"gzip\",\n  \"predictor\": \"Bim_4k\",\n  \
-         \"recovery_cells\": {cells},\n  \"executed_before_kill\": {before},\n  \
-         \"resume_latency_ms\": {latency:.2},\n  \"recovered_cells_per_s\": {rate:.1},\n  \
-         \"history\": {history}\n}}\n",
-        pr = PR,
-        mode = budget.mode,
-        cells = budget.recovery_cells,
-        before = executed_before,
-        latency = resume_latency_ms,
-        rate = recovered_cells_per_s,
-        history = recovery_history_json(&rows),
+    let recovery_path = common::repo_root().join("BENCH_daemon_recovery.json");
+    let mut history = common::History::load(&recovery_path, RECOVERY_HISTORY);
+    history.record(budget.mode, PR, &[recovered_cells_per_s, resume_latency_ms]);
+    common::write_report(
+        &recovery_path,
+        vec![
+            ("bench", Str("daemon_recovery".into())),
+            ("pr", Int(PR.into())),
+            ("mode", Str(budget.mode.into())),
+            ("workload", Str("gzip".into())),
+            ("predictor", Str("Bim_4k".into())),
+            ("recovery_cells", Int(budget.recovery_cells)),
+            ("executed_before_kill", Int(executed_before)),
+            ("resume_latency_ms", Num(resume_latency_ms, 2)),
+            ("recovered_cells_per_s", Num(recovered_cells_per_s, 1)),
+        ],
+        &history,
     );
-    fsutil::atomic_write(&recovery_path, json.as_bytes())
-        .expect("write BENCH_daemon_recovery.json");
     println!("server: wrote {}", recovery_path.display());
 }

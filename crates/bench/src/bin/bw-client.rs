@@ -238,17 +238,14 @@ fn main() -> ExitCode {
             attempts: retries,
             ..RetryPolicy::default()
         };
-        let (replies, report) = match client.run_cells_with_retry(1, &specs, priority, &policy) {
-            Ok(r) => r,
-            Err(e) => return fail(&format!("submit: {e}")),
-        };
-        let received: Vec<u64> = replies.iter().map(|r| r.cell).collect();
+        let (replies, report) =
+            match client.run_cells_with_retry(1, &specs, priority, &policy, |_, _, _| {}) {
+                Ok(r) => r,
+                Err(e) => return fail(&format!("submit: {e}")),
+            };
         for reply in &replies {
             let label = labels.get(reply.cell as usize).map_or("?", String::as_str);
             tally_reply(label, &reply.status, &mut ok, &mut refused, &mut failed);
-        }
-        if let Err(e) = client.ack(1, &received) {
-            return fail(&format!("ack: {e}"));
         }
         attempts = report.attempts;
         retried = report.retried;

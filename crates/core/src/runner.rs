@@ -17,8 +17,6 @@
 //!   to serial execution.
 //! * [`RunCache`] — a persistent content-addressed store of completed
 //!   [`RunResult`]s under `results/cache/`, keyed by the run's digest.
-//!   Requires the `serde` feature; without it the cache type still
-//!   exists but loads nothing and stores nothing.
 //!
 //! # Examples
 //!
@@ -49,6 +47,7 @@ use bw_predictors::PredictorConfig;
 use bw_trace::Trace;
 use bw_types::fnv1a;
 use bw_workload::BenchmarkModel;
+use serde::{Deserialize, Serialize, Value};
 
 use crate::sim::{RunResult, SimConfig, SimError, SimRequest, SimSource, TraceRunError};
 use crate::supervise::{
@@ -174,15 +173,33 @@ impl RunKey {
     /// it is stable across processes.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        fnv1a(
-            format!(
-                "{}|{:?}|{:016x}",
-                self.workload.name(),
-                self.predictor,
-                self.cfg_digest
-            )
-            .as_bytes(),
-        )
+        self.identity().digest()
+    }
+
+    /// The key spelled out as the cache records it.
+    pub(crate) fn identity(&self) -> Identity {
+        Identity {
+            benchmark: self.workload.name().to_string(),
+            predictor: format!("{:?}", self.predictor),
+            cfg_digest: format!("{:016x}", self.cfg_digest),
+        }
+    }
+}
+
+/// A run's identity as text: the workload name, the predictor's `Debug`
+/// form and the config digest in hex. Every cache entry records it
+/// beside its result and [`RunKey::digest`] hashes it, so an entry's
+/// contents can be checked against the digest in its file name.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct Identity {
+    pub(crate) benchmark: String,
+    pub(crate) predictor: String,
+    cfg_digest: String,
+}
+
+impl Identity {
+    pub(crate) fn digest(&self) -> u64 {
+        fnv1a(format!("{}|{}|{}", self.benchmark, self.predictor, self.cfg_digest).as_bytes())
     }
 }
 
@@ -915,15 +932,85 @@ impl EvictReport {
 /// byte-identical file) — concurrent writers racing on one key are
 /// harmless.
 ///
-/// With the `serde` feature disabled the cache is inert: [`load`]
-/// always misses and [`store`] does nothing.
-///
-/// [`load`]: RunCache::load
 /// [`load_checked`]: RunCache::load_checked
-/// [`store`]: RunCache::store
 #[derive(Clone, Debug)]
 pub struct RunCache {
     dir: PathBuf,
+}
+
+/// One cache file, decoded by [`decode_entry`].
+enum Decoded {
+    /// An envelope from another format generation: not damage, just an
+    /// entry the next store of its key replaces.
+    Stale,
+    /// Unparsable, failing its checksum, or carrying a payload that
+    /// does not decode.
+    Corrupt,
+    /// The identity the entry was stored under, and its result.
+    Entry(Identity, Box<RunResult>),
+}
+
+/// Encodes one cache file: an envelope holding the format version, an
+/// FNV-1a checksum, and the identity + result payload as one string.
+/// The checksum covers the payload's exact bytes, so verification never
+/// depends on float re-canonicalization.
+fn encode_entry(identity: Identity, result: &RunResult) -> Option<String> {
+    let payload = serde_json::to_string(&Value::Obj(vec![
+        ("benchmark".into(), Value::Str(identity.benchmark)),
+        ("predictor".into(), Value::Str(identity.predictor)),
+        ("cfg_digest".into(), Value::Str(identity.cfg_digest)),
+        ("result".into(), result.to_value()),
+    ]))
+    .ok()?;
+    let envelope = Value::Obj(vec![
+        ("format_version".into(), CACHE_FORMAT_VERSION.to_value()),
+        (
+            "checksum".into(),
+            Value::Str(format!("{:016x}", fnv1a(payload.as_bytes()))),
+        ),
+        ("payload".into(), Value::Str(payload)),
+    ]);
+    serde_json::to_string_pretty(&envelope).ok()
+}
+
+/// Decodes one cache file written by [`encode_entry`]; never panics,
+/// whatever the text.
+fn decode_entry(text: &str) -> Decoded {
+    let decode = || -> Option<Decoded> {
+        let v = serde_json::parse_value_str(text).ok()?;
+        if u32::from_value(v.get("format_version")?).ok()? != CACHE_FORMAT_VERSION {
+            return Some(Decoded::Stale);
+        }
+        let (Value::Str(checksum), Value::Str(payload)) = (v.get("checksum")?, v.get("payload")?)
+        else {
+            return None;
+        };
+        if *checksum != format!("{:016x}", fnv1a(payload.as_bytes())) {
+            return None;
+        }
+        let Value::Obj(mut fields) = serde_json::parse_value_str(payload).ok()? else {
+            return None;
+        };
+        // Move the identity out of the parsed payload instead of
+        // copying it.
+        let mut take = |name: &str| match fields.iter_mut().find(|(k, _)| k == name) {
+            Some((_, Value::Str(s))) => Some(std::mem::take(s)),
+            _ => None,
+        };
+        let identity = Identity {
+            benchmark: take("benchmark")?,
+            predictor: take("predictor")?,
+            cfg_digest: take("cfg_digest")?,
+        };
+        let result = RunResult::from_value(Value::Obj(fields).get("result")?).ok()?;
+        Some(Decoded::Entry(identity, Box::new(result)))
+    };
+    decode().unwrap_or(Decoded::Corrupt)
+}
+
+/// A path's file name as text (empty when it has none).
+fn file_name_of(path: &Path) -> std::borrow::Cow<'_, str> {
+    path.file_name().unwrap_or_default().to_string_lossy()
 }
 
 impl RunCache {
@@ -952,14 +1039,13 @@ impl RunCache {
         &self.dir
     }
 
-    /// The file name (without directory) a key's result is stored
-    /// under. The workload name is sanitized for the filesystem (trace
-    /// ids carry `@` and arbitrary user-supplied names); identity
-    /// lives in the digest, the name is only there for humans browsing
-    /// the cache directory.
-    fn file_name_for(key: &RunKey) -> String {
-        let name: String = key
-            .benchmark()
+    /// The file name (without directory) an entry is stored under. The
+    /// workload name is sanitized for the filesystem (trace ids carry
+    /// `@` and arbitrary user-supplied names); identity lives in the
+    /// digest, the name is only there for humans browsing the cache
+    /// directory.
+    fn file_name(benchmark: &str, digest: u64) -> String {
+        let name: String = benchmark
             .chars()
             .map(|c| {
                 if c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-' | '@') {
@@ -969,7 +1055,19 @@ impl RunCache {
                 }
             })
             .collect();
-        format!("{name}-{:016x}.json", key.digest())
+        format!("{name}-{digest:016x}.json")
+    }
+
+    /// The key digest an entry's file name carries
+    /// (`<name>-<16 hex digits>.json`); `None` for every other file —
+    /// the quarantine ledger, the flight journal, stray `.tmp` staging
+    /// files.
+    fn digest_of(file_name: &str) -> Option<u64> {
+        let (_, hex) = file_name.strip_suffix(".json")?.rsplit_once('-')?;
+        if hex.len() != 16 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+            return None;
+        }
+        u64::from_str_radix(hex, 16).ok()
     }
 
     /// The shard subdirectory name for a key digest: the digest's top
@@ -986,13 +1084,29 @@ impl RunCache {
                 .all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase())
     }
 
+    /// A key's identity and the file its entry lives at in the sharded
+    /// layout (the identity is spelled out once for both).
+    fn locate(&self, key: &RunKey) -> (Identity, PathBuf) {
+        let identity = key.identity();
+        let digest = identity.digest();
+        let path = self
+            .dir
+            .join(Self::shard_name(digest))
+            .join(Self::file_name(&identity.benchmark, digest));
+        (identity, path)
+    }
+
+    /// The pre-sharding flat location of a sharded entry path: the
+    /// same file name at the root.
+    fn flat(&self, sharded: &Path) -> PathBuf {
+        self.dir.join(sharded.file_name().unwrap_or_default())
+    }
+
     /// The file a key's result lives at in the sharded layout:
     /// `<dir>/<shard>/<benchmark>-<digest>.json`.
     #[must_use]
     pub fn path_for(&self, key: &RunKey) -> PathBuf {
-        self.dir
-            .join(Self::shard_name(key.digest()))
-            .join(Self::file_name_for(key))
+        self.locate(key).1
     }
 
     /// Where the pre-sharding flat layout stored this key. Still read
@@ -1001,7 +1115,7 @@ impl RunCache {
     /// into their shards.
     #[must_use]
     pub fn legacy_path_for(&self, key: &RunKey) -> PathBuf {
-        self.dir.join(Self::file_name_for(key))
+        self.flat(&self.path_for(key))
     }
 
     /// Loads a cached result, or `None` on miss / stale format /
@@ -1024,62 +1138,27 @@ impl RunCache {
     /// file, or a stale format version) from a corrupt entry that
     /// should be evicted and reported.
     #[must_use]
-    #[cfg(feature = "serde")]
     pub fn load_checked(&self, key: &RunKey) -> CacheLookup {
-        use serde::{Deserialize, Value};
+        let (identity, sharded) = self.locate(key);
         // Probe the sharded location first, then fall back to the
         // pre-sharding flat layout so old caches keep serving hits.
-        let (path, text) = {
-            let sharded = self.path_for(key);
-            match std::fs::read_to_string(&sharded) {
-                Ok(text) => (sharded, text),
-                Err(_) => {
-                    let legacy = self.legacy_path_for(key);
-                    match std::fs::read_to_string(&legacy) {
-                        Ok(text) => (legacy, text),
-                        Err(_) => return CacheLookup::Miss,
-                    }
+        let (path, text) = match std::fs::read_to_string(&sharded) {
+            Ok(text) => (sharded, text),
+            Err(_) => {
+                let legacy = self.flat(&sharded);
+                match std::fs::read_to_string(&legacy) {
+                    Ok(text) => (legacy, text),
+                    Err(_) => return CacheLookup::Miss,
                 }
             }
         };
-        let corrupt = || CacheLookup::Corrupt(path.clone());
-        let Ok(v) = serde_json::parse_value_str(&text) else {
-            return corrupt();
-        };
-        let Some(version) = v
-            .get("format_version")
-            .and_then(|f| u32::from_value(f).ok())
-        else {
-            return corrupt();
-        };
-        if version != CACHE_FORMAT_VERSION {
-            // A recognizable envelope from another format generation:
-            // not damage, just a stale entry the next store replaces.
-            return CacheLookup::Miss;
-        }
-        let (Some(Value::Str(checksum)), Some(Value::Str(payload))) =
-            (v.get("checksum"), v.get("payload"))
-        else {
-            return corrupt();
-        };
-        if *checksum != format!("{:016x}", fnv1a(payload.as_bytes())) {
-            return corrupt();
-        }
-        let Ok(p) = serde_json::parse_value_str(payload) else {
-            return corrupt();
-        };
-        if p.get("benchmark") != Some(&Value::Str(key.benchmark().to_string()))
-            || p.get("predictor") != Some(&Value::Str(format!("{:?}", key.predictor())))
-            || p.get("cfg_digest") != Some(&Value::Str(format!("{:016x}", key.cfg_digest())))
-        {
-            // Identity mismatch under this key's digest: treat as a
-            // miss (the digest collision would be astronomically rare;
-            // a hand-renamed file lands here too).
-            return CacheLookup::Miss;
-        }
-        match p.get("result").map(RunResult::from_value) {
-            Some(Ok(r)) => CacheLookup::Hit(Box::new(r)),
-            _ => corrupt(),
+        match decode_entry(&text) {
+            Decoded::Entry(stored, result) if stored == identity => CacheLookup::Hit(result),
+            // Another identity under this key's digest is a miss: a
+            // digest collision would be astronomically rare, but a
+            // hand-renamed or copied file lands here too.
+            Decoded::Stale | Decoded::Entry(..) => CacheLookup::Miss,
+            Decoded::Corrupt => CacheLookup::Corrupt(path),
         }
     }
 
@@ -1088,43 +1167,39 @@ impl RunCache {
     /// interrupted writer damages nothing. Failures (e.g. an
     /// unwritable directory) are swallowed: the cache is an
     /// accelerator, not a ledger.
-    #[cfg(feature = "serde")]
     pub fn store(&self, key: &RunKey, result: &RunResult) {
-        use serde::{Serialize, Value};
-        let payload = Value::Obj(vec![
-            ("benchmark".into(), Value::Str(key.benchmark().to_string())),
-            (
-                "predictor".into(),
-                Value::Str(format!("{:?}", key.predictor())),
-            ),
-            (
-                "cfg_digest".into(),
-                Value::Str(format!("{:016x}", key.cfg_digest())),
-            ),
-            ("result".into(), result.to_value()),
-        ]);
-        let Ok(payload_text) = serde_json::to_string(&payload) else {
+        let (identity, path) = self.locate(key);
+        let Some(text) = encode_entry(identity, result) else {
             return;
         };
-        // The checksum covers the payload's exact bytes (stored as one
-        // JSON string), so verification never depends on float
-        // re-canonicalization.
-        let v = Value::Obj(vec![
-            ("format_version".into(), CACHE_FORMAT_VERSION.to_value()),
-            (
-                "checksum".into(),
-                Value::Str(format!("{:016x}", fnv1a(payload_text.as_bytes()))),
-            ),
-            ("payload".into(), Value::Str(payload_text)),
-        ]);
-        if let Ok(text) = serde_json::to_string_pretty(&v) {
-            if bw_types::fsutil::atomic_write(&self.path_for(key), text.as_bytes()).is_ok() {
-                // The sharded entry now supersedes any flat-layout
-                // leftover for the same key; drop it so verify passes
-                // don't double-count the identity.
-                self.evict(&self.legacy_path_for(key));
+        if bw_types::fsutil::atomic_write(&path, text.as_bytes()).is_ok() {
+            // The sharded entry now supersedes any flat-layout
+            // leftover for the same key; drop it so verify passes
+            // don't double-count the identity.
+            self.evict(&self.flat(&path));
+        }
+    }
+
+    /// Every file in the cache, sorted: the root's own files (legacy
+    /// flat entries, the quarantine ledger, the flight journal) and
+    /// the contents of the shard subdirectories. Other directories are
+    /// not ours to judge; a missing directory has no files.
+    fn files(&self) -> Vec<PathBuf> {
+        let mut paths = Vec::new();
+        let Ok(root) = std::fs::read_dir(&self.dir) else {
+            return paths;
+        };
+        for path in root.filter_map(|e| e.ok().map(|e| e.path())) {
+            if !path.is_dir() {
+                paths.push(path);
+            } else if Self::is_shard_name(&file_name_of(&path)) {
+                if let Ok(shard) = std::fs::read_dir(&path) {
+                    paths.extend(shard.filter_map(|e| e.ok().map(|e| e.path())));
+                }
             }
         }
+        paths.sort();
+        paths
     }
 
     /// Validates every file in the cache directory: JSON envelope,
@@ -1132,39 +1207,10 @@ impl RunCache {
     /// matches the identity recorded inside. Also reports stray `.tmp`
     /// staging files. A missing directory is an empty (clean) cache.
     #[must_use]
-    #[cfg(feature = "serde")]
     pub fn verify_dir(&self) -> CacheAudit {
-        use serde::{Deserialize, Value};
         let mut audit = CacheAudit::default();
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return audit;
-        };
-        // Root entries (legacy flat layout plus the quarantine ledger)
-        // and the contents of shard subdirectories; other directories
-        // are not ours to judge.
-        let mut paths: Vec<PathBuf> = Vec::new();
-        for e in entries.filter_map(Result::ok) {
-            let path = e.path();
-            let name = path
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default();
-            if path.is_dir() {
-                if Self::is_shard_name(&name) {
-                    if let Ok(sub) = std::fs::read_dir(&path) {
-                        paths.extend(sub.filter_map(|e| e.ok().map(|e| e.path())));
-                    }
-                }
-                continue;
-            }
-            paths.push(path);
-        }
-        paths.sort();
-        for path in paths {
-            let name = path
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default();
+        for path in self.files() {
+            let name = file_name_of(&path);
             if name == QUARANTINE_FILE {
                 continue;
             }
@@ -1172,36 +1218,14 @@ impl RunCache {
                 audit.stray_tmp.push(path);
                 continue;
             }
-            let valid = (|| -> Option<bool> {
-                let text = std::fs::read_to_string(&path).ok()?;
-                let v = serde_json::parse_value_str(&text).ok()?;
-                let version = u32::from_value(v.get("format_version")?).ok()?;
-                if version != CACHE_FORMAT_VERSION {
-                    return Some(false); // stale, not corrupt
-                }
-                let (Value::Str(checksum), Value::Str(payload)) =
-                    (v.get("checksum")?, v.get("payload")?)
-                else {
-                    return None;
-                };
-                if *checksum != format!("{:016x}", fnv1a(payload.as_bytes())) {
-                    return None;
-                }
-                let p = serde_json::parse_value_str(payload).ok()?;
-                let benchmark = String::from_value(p.get("benchmark")?).ok()?;
-                let predictor = String::from_value(p.get("predictor")?).ok()?;
-                let cfg_digest = String::from_value(p.get("cfg_digest")?).ok()?;
-                RunResult::from_value(p.get("result")?).ok()?;
-                // The file stem must carry the digest of the identity
+            let digest = Self::digest_of(&name);
+            match std::fs::read_to_string(&path).map_or(Decoded::Corrupt, |t| decode_entry(&t)) {
+                // The file name must carry the digest of the identity
                 // inside — a renamed or cross-copied file would
                 // otherwise satisfy a key it does not answer.
-                let digest = fnv1a(format!("{benchmark}|{predictor}|{cfg_digest}").as_bytes());
-                Some(name.ends_with(&format!("-{digest:016x}.json")))
-            })();
-            match valid {
-                Some(true) => audit.ok += 1,
-                Some(false) => audit.stale += 1,
-                None => audit.corrupt.push(path),
+                Decoded::Entry(identity, _) if digest == Some(identity.digest()) => audit.ok += 1,
+                Decoded::Stale | Decoded::Entry(..) => audit.stale += 1,
+                Decoded::Corrupt => audit.corrupt.push(path),
             }
         }
         audit
@@ -1211,7 +1235,6 @@ impl RunCache {
     /// entries and stray `.tmp` staging files), returning the audit
     /// that drove the evictions. Stale-format entries are left alone —
     /// they are replaced lazily on their next store.
-    #[cfg(feature = "serde")]
     pub fn repair(&self) -> CacheAudit {
         let audit = self.verify_dir();
         for path in audit.corrupt.iter().chain(&audit.stray_tmp) {
@@ -1228,40 +1251,23 @@ impl RunCache {
     /// file name decides the shard, so even a stale-format entry lands
     /// where its next store would. Corrupt files that happen to carry
     /// a well-formed name move too — [`repair`](RunCache::repair)
-    /// remains the tool that deletes them. Purely a rename pass: needs
-    /// no `serde`, safe to re-run, a no-op on an already-sharded (or
-    /// missing) cache.
+    /// remains the tool that deletes them. Purely a rename pass that
+    /// never reads an entry: safe to re-run, a no-op on an
+    /// already-sharded (or missing) cache.
     pub fn migrate(&self) -> usize {
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return 0;
-        };
-        let mut paths: Vec<PathBuf> = entries
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| !p.is_dir())
-            .collect();
-        paths.sort();
         let mut moved = 0;
-        for path in paths {
-            let name = path
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default();
-            let Some(digest_hex) = name
-                .strip_suffix(".json")
-                .and_then(|stem| stem.rsplit_once('-'))
-                .map(|(_, d)| d)
-                .filter(|d| d.len() == 16 && d.bytes().all(|b| b.is_ascii_hexdigit()))
-            else {
-                continue; // quarantine.json, stray tmp, foreign files
-            };
-            let Ok(digest) = u64::from_str_radix(digest_hex, 16) else {
+        for path in self.files() {
+            if path.parent() != Some(self.dir.as_path()) {
+                continue; // already in a shard
+            }
+            let name = file_name_of(&path);
+            let Some(digest) = Self::digest_of(&name) else {
                 continue;
             };
             let shard = self.dir.join(Self::shard_name(digest));
-            if std::fs::create_dir_all(&shard).is_err() {
-                continue;
-            }
-            if std::fs::rename(&path, shard.join(&name)).is_ok() {
+            if std::fs::create_dir_all(&shard).is_ok()
+                && std::fs::rename(&path, shard.join(&*name)).is_ok()
+            {
                 moved += 1;
             }
         }
@@ -1277,45 +1283,9 @@ impl RunCache {
     /// budget).
     #[must_use]
     pub fn entries(&self) -> Vec<CacheEntry> {
-        let Ok(root) = std::fs::read_dir(&self.dir) else {
-            return Vec::new();
-        };
-        let mut paths: Vec<PathBuf> = Vec::new();
-        for e in root.filter_map(Result::ok) {
-            let path = e.path();
-            if path.is_dir() {
-                let name = path
-                    .file_name()
-                    .map(|n| n.to_string_lossy().into_owned())
-                    .unwrap_or_default();
-                if Self::is_shard_name(&name) {
-                    if let Ok(sub) = std::fs::read_dir(&path) {
-                        paths.extend(sub.filter_map(|e| e.ok().map(|e| e.path())));
-                    }
-                }
-                continue;
-            }
-            paths.push(path);
-        }
-        paths.sort();
-        let mut entries = Vec::new();
-        for path in paths {
-            let name = path
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default();
-            let Some(digest) = name
-                .strip_suffix(".json")
-                .and_then(|stem| stem.rsplit_once('-'))
-                .map(|(_, d)| d)
-                .filter(|d| d.len() == 16 && d.bytes().all(|b| b.is_ascii_hexdigit()))
-                .and_then(|d| u64::from_str_radix(d, 16).ok())
-            else {
-                continue; // quarantine.json, journal, stray tmp, foreign
-            };
-            let Ok(meta) = std::fs::metadata(&path) else {
-                continue;
-            };
+        let entry = |path: PathBuf| {
+            let digest = Self::digest_of(&file_name_of(&path))?;
+            let meta = std::fs::metadata(&path).ok()?;
             // LRU rank from atime (mtime when atime is unavailable,
             // e.g. noatime mounts), flattened to epoch nanoseconds so
             // ordering needs no clock types on this deterministic path.
@@ -1325,14 +1295,14 @@ impl RunCache {
                 .ok()
                 .and_then(|t| t.duration_since(std::time::UNIX_EPOCH).ok())
                 .map_or(0, |d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-            entries.push(CacheEntry {
+            Some(CacheEntry {
                 path,
                 digest,
                 bytes: meta.len(),
                 accessed_ns: stamp,
-            });
-        }
-        entries
+            })
+        };
+        self.files().into_iter().filter_map(entry).collect()
     }
 
     /// Total `(bytes, entry count)` currently held, by the same
@@ -1388,30 +1358,6 @@ impl RunCache {
         report.retained = count;
         report.retained_bytes = bytes;
         report
-    }
-
-    /// Probes the cache — inert without the `serde` feature.
-    #[must_use]
-    #[cfg(not(feature = "serde"))]
-    pub fn load_checked(&self, _key: &RunKey) -> CacheLookup {
-        CacheLookup::Miss
-    }
-
-    /// Stores a result — inert without the `serde` feature.
-    #[cfg(not(feature = "serde"))]
-    pub fn store(&self, _key: &RunKey, _result: &RunResult) {}
-
-    /// Verifies the directory — inert without the `serde` feature.
-    #[must_use]
-    #[cfg(not(feature = "serde"))]
-    pub fn verify_dir(&self) -> CacheAudit {
-        CacheAudit::default()
-    }
-
-    /// Repairs the directory — inert without the `serde` feature.
-    #[cfg(not(feature = "serde"))]
-    pub fn repair(&self) -> CacheAudit {
-        CacheAudit::default()
     }
 }
 
@@ -1522,7 +1468,6 @@ mod tests {
         assert_eq!(cache.legacy_path_for(&key).parent().unwrap(), cache.dir());
     }
 
-    #[cfg(feature = "serde")]
     #[test]
     fn cache_reads_legacy_flat_entries_and_migrates_them() {
         let dir = std::env::temp_dir().join(format!("bw-cache-shard-{}", std::process::id()));

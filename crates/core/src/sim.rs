@@ -3,11 +3,12 @@
 
 use bw_arrays::{ModelKind, TechParams};
 use bw_power::{BpredOptions, BpredPower, BpredTotals, EnergyReport};
-use bw_predictors::PredictorConfig;
+use bw_predictors::{PredictorConfig, Storage};
 use bw_trace::{DecodedTrace, Trace, REPLAY_SLACK_INSTS};
 use bw_types::fnv1a;
 use bw_uarch::{Machine, SimStats, UarchConfig};
 use bw_workload::{BenchmarkModel, InstSource};
+use serde::{obj_get, Deserialize, Error, Serialize, Value};
 
 use crate::supervise::{CancelToken, Cancelled};
 
@@ -747,57 +748,48 @@ pub fn bpred_share(run: &RunResult) -> f64 {
     run.bpred_energy_j() / run.total_energy_j()
 }
 
-#[cfg(feature = "serde")]
-mod serde_impls {
-    //! Hand-written (de)serialization for [`RunResult`].
-    //!
-    //! One field needs care: [`BpredPower`] is a derived model — only
-    //! its inputs (storages, tech, options) are stored, and the model
-    //! is rebuilt on load. `BpredPower::new` is deterministic, so a
-    //! rebuilt model re-prices identically. The workload name is a
-    //! plain string: trace-driven runs carry names that are not in the
-    //! benchmark registry, so no registry lookup happens on load.
-
-    use super::RunResult;
-    use bw_power::{BpredOptions, BpredPower};
-    use bw_predictors::Storage;
-    use serde::{obj_get, Deserialize, Error, Serialize, Value};
-
-    impl Serialize for RunResult {
-        fn to_value(&self) -> Value {
-            Value::Obj(vec![
-                ("benchmark".into(), Value::Str(self.benchmark.clone())),
-                ("predictor".into(), Value::Str(self.predictor.clone())),
-                ("stats".into(), self.stats.to_value()),
-                ("energy".into(), self.energy.to_value()),
-                ("totals".into(), self.totals.to_value()),
-                (
-                    "bpred_power".into(),
-                    Value::Obj(vec![
-                        ("storages".into(), self.bpred_power.storages().to_value()),
-                        ("tech".into(), self.bpred_power.tech().to_value()),
-                        ("options".into(), self.bpred_power.options().to_value()),
-                    ]),
-                ),
-            ])
-        }
+// Hand-written (de)serialization for `RunResult`.
+//
+// One field needs care: `BpredPower` is a derived model — only
+// its inputs (storages, tech, options) are stored, and the model
+// is rebuilt on load. `BpredPower::new` is deterministic, so a
+// rebuilt model re-prices identically. The workload name is a
+// plain string: trace-driven runs carry names that are not in the
+// benchmark registry, so no registry lookup happens on load.
+impl Serialize for RunResult {
+    fn to_value(&self) -> Value {
+        Value::Obj(vec![
+            ("benchmark".into(), Value::Str(self.benchmark.clone())),
+            ("predictor".into(), Value::Str(self.predictor.clone())),
+            ("stats".into(), self.stats.to_value()),
+            ("energy".into(), self.energy.to_value()),
+            ("totals".into(), self.totals.to_value()),
+            (
+                "bpred_power".into(),
+                Value::Obj(vec![
+                    ("storages".into(), self.bpred_power.storages().to_value()),
+                    ("tech".into(), self.bpred_power.tech().to_value()),
+                    ("options".into(), self.bpred_power.options().to_value()),
+                ]),
+            ),
+        ])
     }
+}
 
-    impl Deserialize for RunResult {
-        fn from_value(v: &Value) -> Result<Self, Error> {
-            let power = obj_get(v, "bpred_power")?;
-            let storages = Vec::<Storage>::from_value(obj_get(power, "storages")?)?;
-            let tech = Deserialize::from_value(obj_get(power, "tech")?)?;
-            let options = BpredOptions::from_value(obj_get(power, "options")?)?;
-            Ok(RunResult {
-                benchmark: String::from_value(obj_get(v, "benchmark")?)?,
-                predictor: String::from_value(obj_get(v, "predictor")?)?,
-                stats: Deserialize::from_value(obj_get(v, "stats")?)?,
-                energy: Deserialize::from_value(obj_get(v, "energy")?)?,
-                totals: Deserialize::from_value(obj_get(v, "totals")?)?,
-                bpred_power: BpredPower::new(&storages, &tech, options),
-            })
-        }
+impl Deserialize for RunResult {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        let power = obj_get(v, "bpred_power")?;
+        let storages = Vec::<Storage>::from_value(obj_get(power, "storages")?)?;
+        let tech = Deserialize::from_value(obj_get(power, "tech")?)?;
+        let options = BpredOptions::from_value(obj_get(power, "options")?)?;
+        Ok(RunResult {
+            benchmark: String::from_value(obj_get(v, "benchmark")?)?,
+            predictor: String::from_value(obj_get(v, "predictor")?)?,
+            stats: Deserialize::from_value(obj_get(v, "stats")?)?,
+            energy: Deserialize::from_value(obj_get(v, "energy")?)?,
+            totals: Deserialize::from_value(obj_get(v, "totals")?)?,
+            bpred_power: BpredPower::new(&storages, &tech, options),
+        })
     }
 }
 

@@ -44,6 +44,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Once;
 use std::time::{Duration, Instant};
 
+use serde::{Deserialize, Serialize, Value};
+
 use crate::runner::RunKey;
 use crate::sim::RunResult;
 
@@ -425,9 +427,7 @@ pub struct QuarantineEntry {
 /// A malformed or missing file loads as an empty ledger — the
 /// quarantine degrades exactly like the cache it sits next to.
 pub(crate) struct Quarantine {
-    /// Ledger file (persistence is serde-gated; without it the path is
-    /// carried but never read).
-    #[cfg_attr(not(feature = "serde"), allow(dead_code))]
+    /// Ledger file; `None` for an in-memory ledger.
     path: Option<PathBuf>,
     /// Ordered so ledger persistence iterates deterministically.
     entries: BTreeMap<u64, QuarantineEntry>,
@@ -455,12 +455,13 @@ impl Quarantine {
 
     /// Records one failure for `key`.
     pub(crate) fn record_failure(&mut self, key: &RunKey, outcome: &RunOutcome) {
+        let identity = key.identity();
         let e = self
             .entries
-            .entry(key.digest())
+            .entry(identity.digest())
             .or_insert_with(|| QuarantineEntry {
-                benchmark: key.benchmark().to_string(),
-                predictor: format!("{:?}", key.predictor()),
+                benchmark: identity.benchmark,
+                predictor: identity.predictor,
                 failures: 0,
                 last_error: String::new(),
             });
@@ -474,98 +475,76 @@ impl Quarantine {
     pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
-}
 
-#[cfg(feature = "serde")]
-mod quarantine_persist {
-    use super::{Quarantine, QuarantineEntry, QUARANTINE_FORMAT_VERSION};
-    use serde::{Deserialize, Serialize, Value};
-    use std::collections::BTreeMap;
-    use std::path::PathBuf;
-
-    impl Quarantine {
-        /// Loads the ledger at `path` (missing or malformed → empty).
-        pub(crate) fn load(path: PathBuf) -> Self {
-            let entries = std::fs::read_to_string(&path)
-                .ok()
-                .and_then(|text| Self::parse(&text))
-                .unwrap_or_default();
-            Quarantine {
-                path: Some(path),
-                entries,
-                dirty: false,
-            }
-        }
-
-        fn parse(text: &str) -> Option<BTreeMap<u64, QuarantineEntry>> {
-            let v = serde_json::parse_value_str(text).ok()?;
-            if u32::from_value(v.get("format_version")?).ok()? != QUARANTINE_FORMAT_VERSION {
-                return None;
-            }
-            let Value::Arr(items) = v.get("entries")? else {
-                return None;
-            };
-            let mut map = BTreeMap::new();
-            for item in items {
-                let digest =
-                    u64::from_str_radix(&String::from_value(item.get("key")?).ok()?, 16).ok()?;
-                map.insert(
-                    digest,
-                    QuarantineEntry {
-                        benchmark: String::from_value(item.get("benchmark")?).ok()?,
-                        predictor: String::from_value(item.get("predictor")?).ok()?,
-                        failures: u32::from_value(item.get("failures")?).ok()?,
-                        last_error: String::from_value(item.get("last_error")?).ok()?,
-                    },
-                );
-            }
-            Some(map)
-        }
-
-        /// Writes the ledger back (atomically) if anything changed.
-        pub(crate) fn save(&self) {
-            let (Some(path), true) = (&self.path, self.dirty) else {
-                return;
-            };
-            // BTreeMap iteration is key-ordered: file bytes are
-            // deterministic without an explicit sort.
-            let entries: Vec<Value> = self
-                .entries
-                .iter()
-                .map(|(&digest, e)| {
-                    Value::Obj(vec![
-                        ("key".into(), Value::Str(format!("{digest:016x}"))),
-                        ("benchmark".into(), Value::Str(e.benchmark.clone())),
-                        ("predictor".into(), Value::Str(e.predictor.clone())),
-                        ("failures".into(), e.failures.to_value()),
-                        ("last_error".into(), Value::Str(e.last_error.clone())),
-                    ])
-                })
-                .collect();
-            let v = Value::Obj(vec![
-                (
-                    "format_version".into(),
-                    QUARANTINE_FORMAT_VERSION.to_value(),
-                ),
-                ("entries".into(), Value::Arr(entries)),
-            ]);
-            if let Ok(text) = serde_json::to_string_pretty(&v) {
-                let _ = bw_types::fsutil::atomic_write(path, text.as_bytes());
-            }
-        }
-    }
-}
-
-#[cfg(not(feature = "serde"))]
-impl Quarantine {
-    /// Without `serde` the ledger is in-memory only.
+    /// Loads the ledger at `path` (missing or malformed → empty).
     pub(crate) fn load(path: PathBuf) -> Self {
-        let _ = path;
-        Quarantine::ephemeral()
+        let entries = std::fs::read_to_string(&path)
+            .ok()
+            .and_then(|text| Self::parse(&text))
+            .unwrap_or_default();
+        Quarantine {
+            path: Some(path),
+            entries,
+            dirty: false,
+        }
     }
 
-    /// Without `serde` nothing is persisted.
-    pub(crate) fn save(&self) {}
+    fn parse(text: &str) -> Option<BTreeMap<u64, QuarantineEntry>> {
+        let v = serde_json::parse_value_str(text).ok()?;
+        if u32::from_value(v.get("format_version")?).ok()? != QUARANTINE_FORMAT_VERSION {
+            return None;
+        }
+        let Value::Arr(items) = v.get("entries")? else {
+            return None;
+        };
+        let mut map = BTreeMap::new();
+        for item in items {
+            let digest =
+                u64::from_str_radix(&String::from_value(item.get("key")?).ok()?, 16).ok()?;
+            map.insert(
+                digest,
+                QuarantineEntry {
+                    benchmark: String::from_value(item.get("benchmark")?).ok()?,
+                    predictor: String::from_value(item.get("predictor")?).ok()?,
+                    failures: u32::from_value(item.get("failures")?).ok()?,
+                    last_error: String::from_value(item.get("last_error")?).ok()?,
+                },
+            );
+        }
+        Some(map)
+    }
+
+    /// Writes the ledger back (atomically) if anything changed.
+    pub(crate) fn save(&self) {
+        let (Some(path), true) = (&self.path, self.dirty) else {
+            return;
+        };
+        // BTreeMap iteration is key-ordered: file bytes are
+        // deterministic without an explicit sort.
+        let entries: Vec<Value> = self
+            .entries
+            .iter()
+            .map(|(&digest, e)| {
+                Value::Obj(vec![
+                    ("key".into(), Value::Str(format!("{digest:016x}"))),
+                    ("benchmark".into(), Value::Str(e.benchmark.clone())),
+                    ("predictor".into(), Value::Str(e.predictor.clone())),
+                    ("failures".into(), e.failures.to_value()),
+                    ("last_error".into(), Value::Str(e.last_error.clone())),
+                ])
+            })
+            .collect();
+        let v = Value::Obj(vec![
+            (
+                "format_version".into(),
+                QUARANTINE_FORMAT_VERSION.to_value(),
+            ),
+            ("entries".into(), Value::Arr(entries)),
+        ]);
+        if let Ok(text) = serde_json::to_string_pretty(&v) {
+            let _ = bw_types::fsutil::atomic_write(path, text.as_bytes());
+        }
+    }
 }
 
 /// A read-only snapshot of the quarantine ledger beside a run cache.
@@ -573,10 +552,9 @@ impl Quarantine {
 /// Services fronting the runner (the `bw-server` daemon) use this at
 /// admission time: a key whose recorded failures have crossed the
 /// supervision threshold ([`Supervision::quarantines`]) is refused fast
-/// with a typed error instead of rediscovering the failure per request. Like the supervised runner's
-/// own load, a missing or malformed ledger is an empty view; without
-/// the `serde` feature the view is always empty (nothing persists the
-/// ledger either).
+/// with a typed error instead of rediscovering the failure per request.
+/// Like the supervised runner's own load, a missing or malformed ledger
+/// is an empty view.
 pub struct QuarantineView(Quarantine);
 
 impl QuarantineView {

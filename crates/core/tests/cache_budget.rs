@@ -2,10 +2,6 @@
 //! and entry budgets, pin protection for in-flight digests, and
 //! `migrate` idempotency — alone, twice, and racing a concurrent
 //! store.
-//!
-//! Run with `cargo test -p bw-core --features serde`.
-
-#![cfg(feature = "serde")]
 
 use std::path::PathBuf;
 

@@ -2,10 +2,6 @@
 //! the bytes on disk — truncation, bit flips, stale format versions —
 //! `RunCache::load` never panics and never returns a wrong result, and
 //! `RunCache::repair` evicts exactly the damaged files.
-//!
-//! Run with `cargo test -p bw-core --features serde`.
-
-#![cfg(feature = "serde")]
 
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -212,5 +208,32 @@ fn repair_evicts_exactly_the_damaged_files() {
     assert!(after.is_clean(), "{}", after.summary());
     assert_eq!(after.ok, 2);
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An entry copied under another key's name answers neither that key
+/// nor `verify`'s identity check: the copy is a miss and reads as
+/// stale, while the original still hits.
+#[test]
+fn copied_entry_is_stale_and_misses_its_new_key() {
+    let (a, bytes, want) = golden();
+    let (cache, dir) = scratch("copied", bytes);
+    let b = RunKey::new(
+        benchmark("gzip").unwrap(),
+        NamedPredictor::Bim128.config(),
+        &tiny_cfg(17),
+    );
+    let copy = cache.path_for(&b);
+    std::fs::create_dir_all(copy.parent().unwrap()).unwrap();
+    std::fs::copy(cache.path_for(a), &copy).unwrap();
+
+    let audit = cache.verify_dir();
+    assert_eq!((audit.ok, audit.stale), (1, 1), "{}", audit.summary());
+    assert!(audit.is_clean(), "{}", audit.summary());
+    assert!(matches!(cache.load_checked(&b), CacheLookup::Miss));
+    match cache.load_checked(a) {
+        CacheLookup::Hit(r) => assert_eq!(&format!("{:?}", *r), want),
+        other => panic!("the original entry must still hit, got {other:?}"),
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

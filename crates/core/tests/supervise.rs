@@ -89,7 +89,6 @@ fn healthy_supervised_matches_strict_run() {
         (strict_warm.executed(), strict_warm.cache_hits()),
         (supervised_warm.executed(), supervised_warm.cache_hits())
     );
-    #[cfg(feature = "serde")]
     assert_eq!(
         (strict_warm.executed(), strict_warm.cache_hits()),
         (0, plan.len()),
@@ -176,7 +175,6 @@ fn generous_deadline_does_not_fire() {
     assert!(set.get(&key).is_some());
 }
 
-#[cfg(feature = "serde")]
 mod persistent {
     use super::*;
     use std::path::PathBuf;

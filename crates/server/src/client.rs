@@ -244,10 +244,23 @@ impl Client {
     /// [`ClientError::Server`] if the daemon sends an error frame,
     /// [`ClientError::Wire`] if the connection dies first.
     pub fn collect_request(&mut self, req: u64) -> Result<Vec<CellReply>, ClientError> {
+        self.drain(req, |_| {})
+    }
+
+    /// [`Client::collect_request`], handing each reply to `on_reply` as
+    /// it arrives.
+    fn drain(
+        &mut self,
+        req: u64,
+        mut on_reply: impl FnMut(&CellReply),
+    ) -> Result<Vec<CellReply>, ClientError> {
         let mut replies = Vec::new();
         loop {
             match self.next_msg()? {
-                Some(ServerMsg::Cell(reply)) if reply.req == req => replies.push(reply),
+                Some(ServerMsg::Cell(reply)) if reply.req == req => {
+                    on_reply(&reply);
+                    replies.push(reply);
+                }
                 Some(ServerMsg::Done { req: done, .. }) if done == req => break,
                 Some(ServerMsg::Error { message }) => return Err(ClientError::Server(message)),
                 Some(_) => {}
@@ -284,6 +297,12 @@ impl Client {
     /// cell indices. Non-retryable refusals (bad request, quarantine)
     /// and failures are returned as-is.
     ///
+    /// Every request it drains, the original and each retry, is acked
+    /// in full, so the session holds nothing for [`Client::resume`] to
+    /// redeliver. `on_reply(attempt, cell, status)` sees every reply:
+    /// the first submit's (`attempt` 0) as they arrive, each retry's
+    /// once it completes. `cell` is always the original cell index.
+    ///
     /// # Errors
     ///
     /// As [`Client::run_cells`]; an exhausted retry budget is not an
@@ -295,9 +314,11 @@ impl Client {
         cells: &[CellSpec],
         priority: bool,
         policy: &RetryPolicy,
+        mut on_reply: impl FnMut(u32, u64, &CellStatus),
     ) -> Result<(Vec<CellReply>, RetryReport), ClientError> {
         self.submit_with(req, cells, priority)?;
-        let mut replies = self.collect_request(req)?;
+        let mut replies = self.drain(req, |r| on_reply(0, r.cell, &r.status))?;
+        self.ack_all(req, &replies)?;
         let mut report = RetryReport {
             attempts: 1,
             retried: 0,
@@ -326,11 +347,14 @@ impl Client {
             // on this connection.
             let sub_req = req ^ (u64::from(attempt) << 48) ^ 0x5261_7472_7900_0000;
             self.submit_with(sub_req, &specs, priority)?;
-            for sub in self.collect_request(sub_req)? {
+            let subs = self.collect_request(sub_req)?;
+            self.ack_all(sub_req, &subs)?;
+            for sub in subs {
                 let Some(&orig) = pending.get(usize::try_from(sub.cell).unwrap_or(usize::MAX))
                 else {
                     continue;
                 };
+                on_reply(attempt, orig, &sub.status);
                 if let Some(slot) = replies.iter_mut().find(|r| r.cell == orig) {
                     slot.status = sub.status;
                 }
@@ -339,6 +363,11 @@ impl Client {
             report.retried += pending.len();
         }
         Ok((replies, report))
+    }
+
+    /// Acks every cell of `replies`, all received for request `req`.
+    fn ack_all(&mut self, req: u64, replies: &[CellReply]) -> Result<(), ClientError> {
+        self.ack(req, &replies.iter().map(|r| r.cell).collect::<Vec<_>>())
     }
 
     /// Asks the daemon for its counters: `(executed, queued,

@@ -11,7 +11,9 @@ use std::time::Duration;
 use bw_core::{RunCache, RunPlan, Runner, QUARANTINE_FILE};
 use bw_server::protocol::{encode_frame, hello, read_frame};
 use bw_server::request::resolve_cell;
-use bw_server::{CellSpec, CellStatus, Client, RefuseReason, Server, ServerConfig, ServerMsg};
+use bw_server::{
+    CellSpec, CellStatus, Client, RefuseReason, RetryPolicy, Server, ServerConfig, ServerMsg,
+};
 use serde::{Serialize, Value};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -428,6 +430,50 @@ fn empty_submit_completes_immediately() {
     let mut client = Client::connect(server.addr()).expect("connect");
     let replies = client.run_cells(9, &[]).expect("collect");
     assert!(replies.is_empty());
+    client.bye();
+    server.shutdown();
+}
+
+/// `run_cells_with_retry` acks every request it drains, retries
+/// included: after a quota-shedding sweep settles, a reconnect with the
+/// session token has nothing left to resume.
+#[test]
+fn retried_requests_leave_nothing_to_resume() {
+    let server = launch(ServerConfig {
+        cache_dir: Some(temp_dir("retry-ack")),
+        workers: 1,
+        quota: 2,
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let token = client.session().to_string();
+    let cells: Vec<CellSpec> = (0..6).map(|i| cell("gzip", "Bim_4k", 300 + i)).collect();
+    let policy = RetryPolicy {
+        attempts: 8,
+        base_ms: 1,
+        max_ms: 4,
+    };
+    let mut retried_replies = 0;
+    let (replies, report) = client
+        .run_cells_with_retry(5, &cells, false, &policy, |attempt, cell, _| {
+            assert!(cell < 6, "callback sees original cell indices");
+            retried_replies += usize::from(attempt > 0);
+        })
+        .expect("run with retry");
+    assert!(report.retried_any(), "quota 2 must force retries");
+    assert!(retried_replies > 0);
+    assert_eq!(replies.len(), 6);
+    for reply in &replies {
+        assert!(matches!(reply.status, CellStatus::Ok(_)), "{reply:?}");
+    }
+    // Acks are fire-and-forget: round-trip a stats frame behind them
+    // before dropping the connection.
+    client.stats().expect("ack sync point");
+    drop(client);
+
+    let mut client = Client::connect_with(server.addr(), Some(&token)).expect("reconnect");
+    let reqs = client.resume().expect("resume");
+    assert!(reqs.is_empty(), "unacked requests left behind: {reqs:?}");
     client.bye();
     server.shutdown();
 }

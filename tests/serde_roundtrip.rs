@@ -1,10 +1,8 @@
-//! Round-trip tests for the optional `serde` feature: configurations
-//! and results serialize to JSON and come back intact, enabling
-//! experiment pipelines that persist runs.
+//! Serialization round-trip tests: configurations and results
+//! serialize to JSON and come back intact, enabling experiment
+//! pipelines that persist runs.
 //!
 //! (serde_json is a dev-dependency only; justification in DESIGN.md.)
-
-#![cfg(feature = "serde")]
 
 use branchwatt::power::BpredTotals;
 use branchwatt::predictors::PredictorConfig;
